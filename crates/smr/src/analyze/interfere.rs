@@ -1,7 +1,7 @@
 //! Pass 3 — the static interference analyzer.
 //!
-//! Abstract-interprets each process's **solo footprint** (the same
-//! private-copy interpretation as Pass 1) into a per-process summary of
+//! Condenses each process's solo run (the same private-copy
+//! interpretation as Pass 1, [`super::solo`]) into a per-process summary of
 //! which objects it reads and which component slots it writes, then
 //! derives an N×N **static independence matrix**: processes `p` and `q`
 //! are statically independent iff their plain-write slot sets are
@@ -37,8 +37,8 @@
 //!   pointless; the warning carries the exact solo-run verdicts.
 
 use super::diag::LintCode;
+use super::solo::{solo_runs, SoloRun};
 use crate::object::Operation;
-use crate::process::{Poised, ProcessId};
 use crate::system::System;
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -120,9 +120,15 @@ impl InterferenceMatrix {
     /// `budget` steps per process (the analyzed system is never
     /// mutated).
     pub fn build(sys: &System, budget: usize) -> InterferenceMatrix {
-        let n = sys.process_count();
+        InterferenceMatrix::from_runs(sys, &solo_runs(sys, budget))
+    }
+
+    /// Builds the matrix for `sys` from its processes' solo runs, one
+    /// per process in process order (see [`solo_runs`]).
+    pub fn from_runs(sys: &System, runs: &[SoloRun]) -> InterferenceMatrix {
+        let n = runs.len();
         let footprints: Vec<ProcessFootprint> =
-            (0..n).map(|p| solo_footprint(sys, ProcessId(p), budget)).collect();
+            runs.iter().map(|run| solo_footprint(sys, run)).collect();
         let mut indep = vec![false; n * n];
         for p in 0..n {
             for q in (p + 1)..n {
@@ -236,38 +242,16 @@ impl InterferenceMatrix {
     }
 }
 
-/// Abstract-interprets process `p`'s solo run against a private copy of
-/// the objects (ownership unenforced, same as Pass 1), recording its
-/// read/write footprint.
-fn solo_footprint(sys: &System, pid: ProcessId, budget: usize) -> ProcessFootprint {
+/// Condenses a solo run (ownership unenforced, shared with Pass 1)
+/// into its read/write footprint. A dead step is recorded too, but
+/// leaves the footprint incomplete (⊤), as does an exhausted budget.
+fn solo_footprint(sys: &System, run: &SoloRun) -> ProcessFootprint {
     let mut footprint = ProcessFootprint::default();
-    let Some(proc_ref) = sys.process(pid) else {
-        return footprint;
-    };
-    let mut proc = proc_ref.boxed_clone();
-    let mut objects = sys.objects().to_vec();
-    for _ in 0..budget {
-        match proc.poised() {
-            Poised::Output(value) => {
-                footprint.complete = true;
-                footprint.output = Some(value);
-                break;
-            }
-            Poised::Step(op) => {
-                record_op(&mut footprint, &op, &objects);
-                let resp = match objects
-                    .get_mut(op.object().0)
-                    .and_then(|o| o.apply(&op).ok())
-                {
-                    Some(resp) => resp,
-                    // A dead step (Pass 1's RS-W004 territory): the
-                    // footprint stays incomplete → ⊤.
-                    None => break,
-                };
-                proc.receive(resp);
-            }
-        }
+    for op in run.attempted() {
+        record_op(&mut footprint, op, sys.objects());
     }
+    footprint.complete = run.output.is_some();
+    footprint.output = run.output.clone();
     footprint
 }
 
@@ -432,7 +416,7 @@ pub fn interfere_findings(sys: &System, matrix: &InterferenceMatrix) -> Vec<(Lin
 mod tests {
     use super::*;
     use crate::object::{Object, ObjectId, Response};
-    use crate::process::Process;
+    use crate::process::{Poised, Process};
 
     /// Scripted process issuing arbitrary operations, then an output.
     #[derive(Clone, Debug)]

@@ -1,11 +1,11 @@
 //! Pass 1 — the static protocol linter.
 //!
 //! An abstract interpreter over `Operation`/`Poised`/`ProtocolStep`
-//! footprints: each process is run *solo* against a private copy of
-//! the base objects, with ownership enforcement disabled so that its
-//! **intended** writes become observable even when the runtime would
-//! reject them. No schedule is executed and the analyzed [`System`] is
-//! never mutated.
+//! footprints: each process's solo run ([`super::solo`]) executes
+//! against a private copy of the base objects, with ownership
+//! enforcement disabled so that its **intended** writes become
+//! observable even when the runtime would reject them. No schedule is
+//! executed and the analyzed [`System`] is never mutated.
 //!
 //! The solo streams feed five checks:
 //!
@@ -23,8 +23,8 @@
 //!   or an output.
 
 use super::diag::LintCode;
+use super::solo::{solo_runs, SoloRun};
 use crate::object::Operation;
-use crate::process::{Poised, ProcessId};
 use crate::system::{Event, System};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -78,10 +78,15 @@ pub fn check_aba_events<'a, I>(trace: I) -> Result<(), String>
 where
     I: IntoIterator<Item = &'a Event>,
 {
+    check_aba_ops(trace.into_iter().map(|event| &event.op))
+}
+
+/// [`check_aba_events`] over bare operations, in execution order.
+fn check_aba_ops<'a>(ops: impl IntoIterator<Item = &'a Operation>) -> Result<(), String> {
     // Per (object, component): full value history.
     let mut histories: HashMap<(usize, usize), Vec<Value>> = HashMap::new();
-    for event in trace {
-        let (obj, component, value) = match &event.op {
+    for op in ops {
+        let (obj, component, value) = match op {
             Operation::Update { obj, component, value } => (obj.0, *component, value),
             Operation::Write { obj, value } => (obj.0, 0, value),
             _ => continue,
@@ -114,6 +119,12 @@ fn reduction_feasible(n: usize, m: usize) -> bool {
 /// `budget` bounds each process's solo interpretation (use
 /// [`DEFAULT_BUDGET`] unless the protocol needs longer solo runs).
 pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
+    lint_runs(sys, &solo_runs(sys, budget), budget)
+}
+
+/// Runs Pass 1 over `sys` from its processes' solo runs, taken with
+/// `budget` steps each.
+pub fn lint_runs(sys: &System, runs: &[SoloRun], budget: usize) -> Vec<(LintCode, String)> {
     let mut findings = Vec::new();
     let n = sys.process_count();
     let m = sys.space_complexity();
@@ -129,82 +140,56 @@ pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
         ));
     }
 
-    // Solo abstract interpretation, one process at a time.
-    for pid in (0..n).map(ProcessId) {
-        let Some(proc_ref) = sys.process(pid) else { continue };
-        let mut proc = proc_ref.boxed_clone();
-        let mut objects = sys.objects().to_vec();
-        let mut stream: Vec<Event> = Vec::new();
-        let mut outcome: Option<Value> = None;
-
-        for step in 0..budget {
-            match proc.poised() {
-                Poised::Output(value) => {
-                    outcome = Some(value);
-                    break;
+    for run in runs {
+        let pid = run.pid;
+        for (step, op) in run.attempted().enumerate() {
+            // (a) single-writer discipline: intended write vs. declared
+            // owner.
+            if let Some(component) = mutated_component(op) {
+                if let Some(owner) = sys.owner_of(op.object(), component) {
+                    if owner != pid {
+                        findings.push((
+                            LintCode::SingleWriter,
+                            format!(
+                                "process p{} mutates {} component {component} \
+                                 owned by p{} (single-writer discipline, §3)",
+                                pid.0,
+                                op.object(),
+                                owner.0
+                            ),
+                        ));
+                    }
                 }
-                Poised::Step(op) => {
-                    // (a) single-writer discipline: intended write vs.
-                    // declared owner.
-                    if let Some(component) = mutated_component(&op) {
-                        if let Some(owner) = sys.owner_of(op.object(), component) {
-                            if owner != pid {
-                                findings.push((
-                                    LintCode::SingleWriter,
-                                    format!(
-                                        "process p{} mutates {} component {component} \
-                                         owned by p{} (single-writer discipline, §3)",
-                                        pid.0,
-                                        op.object(),
-                                        owner.0
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                    // (e) yield-symbol leakage into a component.
-                    if let Some(value) = written_value(&op) {
-                        if contains_yield(value) {
-                            findings.push((
-                                LintCode::YieldSymbol,
-                                format!(
-                                    "process p{} writes the reserved yield symbol Y \
-                                     via {} at solo step {step}",
-                                    pid.0,
-                                    crate::trace::format_op(&op)
-                                ),
-                            ));
-                        }
-                    }
-                    // Apply directly to the private copy — ownership
-                    // deliberately unenforced so the intended write is
-                    // observable.
-                    let resp = match objects
-                        .get_mut(op.object().0)
-                        .ok_or_else(|| format!("no object {}", op.object()))
-                        .and_then(|o| o.apply(&op).map_err(|e| e.to_string()))
-                    {
-                        Ok(resp) => resp,
-                        Err(err) => {
-                            findings.push((
-                                LintCode::DeadStep,
-                                format!(
-                                    "process p{}'s solo step {step} \
-                                     ({}) cannot execute: {err}",
-                                    pid.0,
-                                    crate::trace::format_op(&op)
-                                ),
-                            ));
-                            break;
-                        }
-                    };
-                    stream.push(Event { pid, op, resp: resp.clone() });
-                    proc.receive(resp);
+            }
+            // (e) yield-symbol leakage into a component.
+            if let Some(value) = written_value(op) {
+                if contains_yield(value) {
+                    findings.push((
+                        LintCode::YieldSymbol,
+                        format!(
+                            "process p{} writes the reserved yield symbol Y \
+                             via {} at solo step {step}",
+                            pid.0,
+                            crate::trace::format_op(op)
+                        ),
+                    ));
                 }
             }
         }
+        // (d) a step that cannot execute.
+        if let Some((op, err)) = &run.dead {
+            findings.push((
+                LintCode::DeadStep,
+                format!(
+                    "process p{}'s solo step {} ({}) cannot execute: {err}",
+                    pid.0,
+                    run.steps.len(),
+                    crate::trace::format_op(op)
+                ),
+            ));
+        }
 
-        match &outcome {
+        match &run.output {
             // (e) yield-symbol leakage into the output.
             Some(value) if contains_yield(value) => findings.push((
                 LintCode::YieldSymbol,
@@ -213,7 +198,7 @@ pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
             Some(_) => {}
             // (d) no output within the budget: dead steps or a
             // Block-Update that never completes its 6-step structure.
-            None if stream.len() >= budget => findings.push((
+            None if run.steps.len() >= budget => findings.push((
                 LintCode::DeadStep,
                 format!(
                     "process p{} produces no output within {budget} solo steps: \
@@ -226,7 +211,7 @@ pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
         }
 
         // (b) ABA-freedom of this process's own writable value stream.
-        if let Err(err) = check_aba_events(&stream) {
+        if let Err(err) = check_aba_ops(&run.steps) {
             findings.push((
                 LintCode::AbaFreedom,
                 format!("process p{}'s solo write stream violates ABA-freedom: {err}", pid.0),
@@ -242,7 +227,7 @@ pub fn lint_system(sys: &System, budget: usize) -> Vec<(LintCode, String)> {
 mod tests {
     use super::*;
     use crate::object::{Object, ObjectId, Response};
-    use crate::process::Process;
+    use crate::process::{Poised, Process, ProcessId};
 
     /// Writes the given component values in order, then outputs.
     #[derive(Clone, Debug)]

@@ -8,9 +8,11 @@
 //! the component footprint fits the space bound. This module checks
 //! them **up front**:
 //!
-//! * [`lint`] — Pass 1, a static linter: abstract solo interpretation
-//!   of every process's `Operation`/`Poised`/`ProtocolStep` footprint
-//!   without executing a schedule (RS-W001..RS-W005).
+//! * [`solo`] — the abstract solo interpretation of every process's
+//!   `Operation`/`Poised`/`ProtocolStep` footprint, without executing
+//!   a schedule; run once and read by Passes 1 and 3.
+//! * [`lint`] — Pass 1, a static linter over the solo runs
+//!   (RS-W001..RS-W005).
 //! * [`hb`] — Pass 2, a happens-before checker: vector clocks over a
 //!   recorded trace plus sequential replay (RS-W006), and contiguous
 //!   Block-Update linearization windows (RS-W007).
@@ -30,6 +32,7 @@ pub mod diag;
 pub mod hb;
 pub mod interfere;
 pub mod lint;
+pub mod solo;
 
 pub use diag::{known_codes, AnalysisReport, Diagnostic, LintCode, LintConfig, Severity};
 pub use hb::{check_block_update_windows, check_execution, LinEvent};
@@ -37,16 +40,22 @@ pub use interfere::{
     covering_budget, interfere_findings, interfere_system, InterferenceMatrix,
     ProcessFootprint,
 };
-pub use lint::{check_aba_events, contains_yield, lint_system, yield_symbol, DEFAULT_BUDGET};
+pub use lint::{
+    check_aba_events, contains_yield, lint_runs, lint_system, yield_symbol, DEFAULT_BUDGET,
+};
+pub use solo::{solo_runs, SoloRun};
 
 use crate::error::ModelError;
 use crate::system::{Event, System};
 
 /// Runs Pass 1 (static lint) and Pass 3 (static interference) over
-/// `sys` and builds a report under `config`.
+/// `sys` and builds a report under `config`. Both passes read the same
+/// solo run of each process.
 pub fn analyze_system(sys: &System, config: &LintConfig, budget: usize) -> AnalysisReport {
-    let mut findings = lint::lint_system(sys, budget);
-    findings.extend(interfere::interfere_system(sys, budget));
+    let runs = solo::solo_runs(sys, budget);
+    let mut findings = lint::lint_runs(sys, &runs, budget);
+    let matrix = InterferenceMatrix::from_runs(sys, &runs);
+    findings.extend(interfere::interfere_findings(sys, &matrix));
     AnalysisReport::from_findings(findings, config)
 }
 

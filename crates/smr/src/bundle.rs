@@ -251,16 +251,21 @@ impl ReplayBundle {
     /// [`ReplayBundle::corpus_file_name`] atomically, every later
     /// writer (same process, another process, or a crashed-and-retried
     /// worker) finds the file already present and writes nothing.
-    /// Returns `true` if this call created the file. Two racing
-    /// writers can both reach the create step, but the create itself
-    /// is a hard-link publish — exactly one wins and no reader ever
-    /// sees a partial bundle.
+    /// Returns `true` if this call created the file. A bundle already
+    /// present returns `false` before anything is staged or fsynced.
+    /// Two racing writers can both reach the create step, but the
+    /// create itself is a hard-link publish — exactly one wins and no
+    /// reader ever sees a partial bundle.
     ///
     /// # Errors
     ///
-    /// Propagates the I/O error from the atomic writer.
+    /// Propagates the I/O error from the existence check or the atomic
+    /// writer.
     pub fn store_dedup(&self, corpus_dir: &Path) -> std::io::Result<bool> {
         let path = corpus_dir.join(self.corpus_file_name());
+        if path.try_exists()? {
+            return Ok(false);
+        }
         write_atomic_new(&path, &self.to_json())
     }
 }
@@ -362,6 +367,20 @@ mod tests {
             .filter(|name| name != path.file_name().unwrap())
             .collect();
         assert!(leftovers.is_empty(), "stray tmp files: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_existing_corpus_file_is_left_untouched() {
+        let dir = std::env::temp_dir()
+            .join(format!("rsim-corpus-existing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bundle = sample();
+        let path = dir.join(bundle.corpus_file_name());
+        std::fs::write(&path, "first writer's bytes").unwrap();
+        assert!(!bundle.store_dedup(&dir).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first writer's bytes");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "nothing staged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

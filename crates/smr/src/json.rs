@@ -155,7 +155,7 @@ impl Json {
     /// Returns [`ModelError::BadSpec`] with the byte offset of the
     /// problem.
     pub fn parse(input: &str) -> Result<Json, ModelError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -222,6 +222,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -342,13 +343,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the input `&str`, and
+                    // each byte is scanned once.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -409,6 +413,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -493,6 +498,58 @@ mod tests {
             json.get("schedulers").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
+    }
+
+    /// Characters that stress the string scanner: the two run
+    /// terminators, multibyte UTF-8 of every width, and control
+    /// characters that `escape` renders as `\u` escapes.
+    const TRICKY: &[char] =
+        &['"', '\\', '/', 'a', 'é', '漢', '🦀', '\u{0}', '\u{1f}', '\u{7f}', '\u{2028}'];
+
+    fn tricky_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0usize..3, 0usize..TRICKY.len(), 0u32..0x11_0000), 0..48)
+            .prop_map(|picks| {
+                picks
+                    .into_iter()
+                    .map(|(kind, i, code)| match kind {
+                        0 => TRICKY[i],
+                        1 => char::from_u32(code).unwrap_or('\u{fffd}'),
+                        _ => char::from_u32(code % 0x20).expect("control char"),
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn escape_then_parse_round_trips(s in tricky_string(), t in tricky_string()) {
+            prop_assert_eq!(Json::parse(&escape(&s)).unwrap(), Json::Str(s.clone()));
+            // Inside a document, each string ends exactly at its own
+            // closing quote.
+            let doc = format!("[{}, {{{}: {}}}]", escape(&s), escape(&t), escape(&s));
+            let expected = Json::Arr(vec![
+                Json::Str(s.clone()),
+                Json::Obj(vec![(t, Json::Str(s))]),
+            ]);
+            prop_assert_eq!(Json::parse(&doc).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn parses_a_megabyte_of_strings_in_linear_time() {
+        // A quadratic scan (re-validating the rest of the document per
+        // character) needs minutes for this; a linear one milliseconds.
+        let item = "run é漢🦀 \"quoted\" back\\slash\ttab ".repeat(4);
+        let items: Vec<String> = (0..7_000).map(|i| format!("{i} {item}")).collect();
+        let doc = format!(
+            "[{}]",
+            items.iter().map(|s| escape(s)).collect::<Vec<_>>().join(",")
+        );
+        assert!(doc.len() > 1_000_000, "{} bytes", doc.len());
+        let parsed = Json::parse(&doc).unwrap();
+        let strings: Vec<&str> =
+            parsed.as_arr().unwrap().iter().filter_map(Json::as_str).collect();
+        assert_eq!(strings, items.iter().map(String::as_str).collect::<Vec<_>>());
     }
 
     #[test]

@@ -898,28 +898,25 @@ impl Supervisor<'_> {
 
     /// A chaos `kill@unit` fired on this heartbeat: SIGKILL the
     /// worker's process, or for an externally managed TCP worker sever
-    /// the connection and charge the lease attempt directly.
+    /// the connection. Either way the lease attempt is charged here,
+    /// at the kill. A fast unit's result may already be in flight when
+    /// the signal lands; [`Supervisor::handle_result`] drops it because
+    /// the killed process's session is dead, so the kill always costs
+    /// the unit a retry, as a kill mid-unit does.
     fn chaos_kill(&mut self, sid: usize, unit: u64) -> Result<(), ModelError> {
         let Some(sess) = self.sessions.get_mut(sid) else { return Ok(()) };
         if let Some(child) = &mut sess.child {
             let _ = child.kill();
-            if self.tcp {
-                // Reap now so the reader's Gone sees a dead process
-                // and requeues immediately instead of via expiry.
-                let _ = child.wait();
-            }
-            return Ok(());
+            let _ = child.wait();
+            sess.alive = false;
         }
-        if self.tcp {
-            if let Some(Link::Tcp(stream)) = sess.link.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            sess.epoch += 1;
-            sess.current = None;
-            if let Some(ev) = self.lease.fail_lease(unit, Instant::now(), "killed by chaos")
-            {
-                journal_lease_event(self.queue, self.stats, &ev)?;
-            }
+        if let Some(Link::Tcp(stream)) = sess.link.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        sess.epoch += 1;
+        sess.current = None;
+        if let Some(ev) = self.lease.fail_lease(unit, Instant::now(), "killed by chaos") {
+            journal_lease_event(self.queue, self.stats, &ev)?;
         }
         Ok(())
     }
@@ -932,6 +929,11 @@ impl Supervisor<'_> {
     ) -> Result<(), ModelError> {
         let now = Instant::now();
         if let Some(sess) = self.sessions.get_mut(sid) {
+            if !sess.alive {
+                // A result read off a session already declared dead
+                // (chaos kill): its lease was charged at the kill.
+                return Ok(());
+            }
             if sess.current == Some(unit) {
                 sess.current = None;
             }
@@ -947,7 +949,9 @@ impl Supervisor<'_> {
                 journal_lease_event(self.queue, self.stats, &ev)?;
             }
         } else if self.lease.complete(unit) {
-            self.queue.append(&JournalRecord::Result { shard: shard.clone() })?;
+            // Staged: the next lease's append makes it durable, so a
+            // unit costs the coordinator one fdatasync, not two.
+            self.queue.stage(&JournalRecord::Result { shard: shard.clone() })?;
             self.shards.push(shard);
             self.queue.maybe_compact(
                 self.spec,

@@ -16,6 +16,9 @@
 //! merged report is bit-for-bit independent of sharding, worker count,
 //! crash/retry history, and merge order, by construction.
 //!
+//! Workers on either transport run the one loop in [`worker`]: lease,
+//! heartbeat, execute, result.
+//!
 //! The worker link is a pluggable [`transport::Transport`]: the
 //! original spawned-process stdio framing, or TCP (`--listen` /
 //! `--connect`) for cross-machine fleets — with a versioned handshake
@@ -43,6 +46,7 @@ pub mod queue;
 pub mod summary;
 pub mod transport;
 pub mod unit;
+pub mod worker;
 
 pub use chaos::{ChaosPlan, NetAction, NetChaos};
 pub use coordinator::{
@@ -59,3 +63,4 @@ pub use queue::{JobQueue, JournalRecord, RecoveredState};
 pub use summary::{build_summary, ClaimSummary, ServiceSummary};
 pub use transport::{Remote, RemoteError, Transport};
 pub use unit::{ServiceSpec, WorkUnit};
+pub use worker::{serve, StdioLink, TcpLink, WorkerLink};

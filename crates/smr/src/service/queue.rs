@@ -5,7 +5,8 @@
 //!
 //! * `journal.log` — append-only, one record per line:
 //!   `<16-hex FNV-1a of payload> <payload JSON>\n`. Appends are
-//!   fsynced; a torn tail (power loss or injected chaos) corrupts at
+//!   fsynced, and a staged record rides along with the next one (group
+//!   commit); a torn tail (power loss or injected chaos) corrupts at
 //!   most the lines it touched, because recovery verifies every line's
 //!   checksum and *skips* what fails instead of aborting. Before each
 //!   append the writer repairs a missing trailing newline, so a torn
@@ -27,7 +28,7 @@ use crate::json::{escape, Json};
 use crate::service::merge::ShardResult;
 use crate::service::unit::ServiceSpec;
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// One durable event in a service run's history.
@@ -176,6 +177,8 @@ pub struct JobQueue {
     journal: std::fs::File,
     appends_since_compact: usize,
     compact_every: usize,
+    /// Bytes were written since the last fdatasync.
+    unsynced: bool,
 }
 
 /// Encodes one journal line: checksum, space, payload, newline.
@@ -225,6 +228,7 @@ impl JobQueue {
                 journal,
                 appends_since_compact: 0,
                 compact_every: compact_every.max(1),
+                unsynced: false,
             },
             recovered,
         ))
@@ -239,21 +243,40 @@ impl JobQueue {
         if len == 0 {
             return Ok(());
         }
-        let tail = std::fs::read(&self.journal_path)?;
-        if tail.last() != Some(&b'\n') {
+        // Only the last byte matters; the journal can hold megabytes.
+        let mut tail = std::fs::File::open(&self.journal_path)?;
+        tail.seek(SeekFrom::Start(len - 1))?;
+        let mut last = [0u8; 1];
+        tail.read_exact(&mut last)?;
+        if last != *b"\n" {
             self.journal.write_all(b"\n")?;
         }
         Ok(())
     }
 
-    /// Appends one record durably (fsynced).
+    /// Appends one record durably: one fdatasync covers it and every
+    /// record staged before it.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Service`]: a journal that cannot be
     /// written is a disk-level fault the service must not paper over.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), ModelError> {
-        self.append_bytes(journal_line(record).as_bytes())
+        self.write_bytes(journal_line(record).as_bytes())?;
+        self.sync()
+    }
+
+    /// Writes one record without waiting for the disk. It becomes
+    /// durable with the next [`JobQueue::append`], compaction, or drop
+    /// of the queue. For records nothing outside the process acts on
+    /// before then: a staged result and the lease appended after it
+    /// share one fdatasync.
+    ///
+    /// # Errors
+    ///
+    /// As for [`JobQueue::append`].
+    pub fn stage(&mut self, record: &JournalRecord) -> Result<(), ModelError> {
+        self.write_bytes(journal_line(record).as_bytes())
     }
 
     /// Chaos hook: append only the first `keep` bytes of the record's
@@ -265,18 +288,23 @@ impl JobQueue {
     pub fn torn_append(&mut self, record: &JournalRecord, keep: usize) -> Result<(), ModelError> {
         let line = journal_line(record);
         let keep = keep.min(line.len().saturating_sub(1));
-        self.append_bytes(&line.as_bytes()[..keep])
+        self.write_bytes(&line.as_bytes()[..keep])?;
+        self.sync()
     }
 
-    fn append_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
-        let io = |e: std::io::Error| ModelError::Service {
-            context: "journal append".into(),
-            reason: e.to_string(),
-        };
-        self.repair_trailing_newline().map_err(io)?;
-        self.journal.write_all(bytes).map_err(io)?;
-        self.journal.sync_data().map_err(io)?;
+    fn write_bytes(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
+        self.repair_trailing_newline().map_err(journal_err)?;
+        self.journal.write_all(bytes).map_err(journal_err)?;
+        self.unsynced = true;
         self.appends_since_compact += 1;
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<(), ModelError> {
+        if self.unsynced {
+            self.journal.sync_data().map_err(journal_err)?;
+            self.unsynced = false;
+        }
         Ok(())
     }
 
@@ -328,6 +356,8 @@ impl JobQueue {
         self.journal
             .set_len(0)
             .map_err(|e| io("journal truncate", &e))?;
+        // Everything staged is in the fsynced snapshot now.
+        self.unsynced = false;
         self.appends_since_compact = 0;
         Ok(())
     }
@@ -349,6 +379,17 @@ impl JobQueue {
         }
         Ok(())
     }
+}
+
+impl Drop for JobQueue {
+    /// Staged records become durable however the queue is closed.
+    fn drop(&mut self) {
+        let _ = self.sync();
+    }
+}
+
+fn journal_err(e: std::io::Error) -> ModelError {
+    ModelError::Service { context: "journal append".into(), reason: e.to_string() }
 }
 
 /// Reassembles state from the snapshot plus the journal. Nothing here
@@ -588,6 +629,22 @@ mod tests {
         assert_eq!(recovered.shards, vec![shard(0), shard(3)]);
         assert_eq!(recovered.attempts.get(&1), Some(&2));
         assert_eq!(recovered.quarantined, vec![(2, "poison".to_string())]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staged_records_recover_after_the_queue_is_dropped() {
+        let dir = tmp_dir("staged");
+        {
+            let (mut q, _) = JobQueue::open(&dir, 100).unwrap();
+            q.append(&JournalRecord::Init { spec: spec() }).unwrap();
+            q.stage(&JournalRecord::Result { shard: shard(0) }).unwrap();
+            q.append(&JournalRecord::Lease { unit: 1, attempt: 1 }).unwrap();
+            q.stage(&JournalRecord::Result { shard: shard(1) }).unwrap();
+        }
+        let (_, rec) = JobQueue::open(&dir, 100).unwrap();
+        assert_eq!(rec.shards.iter().map(|s| s.unit).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(rec.dropped_lines, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

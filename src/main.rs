@@ -1026,12 +1026,14 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> ExitCode {
         initial.space_complexity()
     );
 
-    // Pass 1: static lint — no schedule executes.
-    let mut findings = analyze::lint_system(&initial, budget);
+    // Pass 1: static lint over each process's solo run — no schedule
+    // executes.
+    let runs = analyze::solo_runs(&initial, budget);
+    let mut findings = analyze::lint_runs(&initial, &runs, budget);
 
-    // Pass 3: static interference over the same covering budget.
+    // Pass 3: static interference from the same solo runs.
     // `--matrix` prints the exact matrix the findings derive from.
-    let matrix = analyze::InterferenceMatrix::build(&initial, budget);
+    let matrix = analyze::InterferenceMatrix::from_runs(&initial, &runs);
     if flags.contains_key("matrix") {
         println!("{}", matrix.render());
     }
@@ -1388,14 +1390,18 @@ fn worker_execute_unit(
     let spec_id = unit.spec_id();
     let checkpoint_path =
         state_dir.join(format!("unit-{}.checkpoint.json", unit.id));
+    // Only the terminal checkpoint is written: the unit is the retry
+    // grain, so a SIGKILL mid-unit costs that unit's runs, and the unit
+    // pays one fsynced write instead of one per chunk of runs (each
+    // rewriting every record so far).
     let mut options = CampaignOptions {
-        checkpoint_every: Some(1),
         checkpoint_path: Some(checkpoint_path.clone()),
         spec_id: Some(spec_id.clone()),
         ..CampaignOptions::default()
     };
-    // A killed predecessor's partial checkpoint resumes — but only if it
-    // was written for exactly this unit of this campaign.
+    // A predecessor's checkpoint (its result was lost in flight)
+    // resumes — but only if it was written for exactly this unit of
+    // this campaign.
     if let Ok(checkpoint) = CampaignCheckpoint::load(&checkpoint_path) {
         if checkpoint.ensure_matches(&spec_id).is_ok() {
             options.resume_from = Some(checkpoint);
@@ -1512,209 +1518,31 @@ fn worker_execute_fault_unit(
 /// The `campaign-worker` subcommand: a service worker process. Without
 /// `--connect` it reads length-prefixed [`CoordMsg`] frames from stdin
 /// (the spawned-process transport); with `--connect ADDR` it dials the
-/// coordinator over TCP instead ([`campaign_worker_remote`]). Either
-/// way it heartbeats on a background thread while executing a leased
-/// unit and sends the shard result back as a frame. Exits nonzero on
-/// any error — the coordinator's lease machinery treats a dead worker
-/// as a requeue.
+/// coordinator over TCP instead, reconnecting on its own. Either way
+/// the library's worker loop heartbeats each leased unit while
+/// [`worker_execute_unit`] runs it, and sends the shard result back as
+/// a frame. Exits nonzero on any error — the coordinator's lease
+/// machinery treats a dead worker as a requeue.
+///
+/// [`CoordMsg`]: revisionist_simulations::smr::service::CoordMsg
 fn cmd_campaign_worker(flags: &HashMap<String, String>) -> ExitCode {
-    use revisionist_simulations::smr::service::{
-        read_frame, write_frame, CoordMsg, WorkerMsg,
-    };
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
+    use revisionist_simulations::smr::service::{serve, StdioLink, TcpLink};
 
-    if let Some(addr) = flags.get("connect") {
-        let tag = flags.get("tag").and_then(|v| v.parse().ok());
-        return campaign_worker_remote(addr, tag);
-    }
-
-    let stdin = std::io::stdin();
-    let mut reader = stdin.lock();
-    // Frames must hit the pipe whole; stdout writes go through one
-    // mutex so heartbeats never interleave with a result frame.
-    let out = Arc::new(Mutex::new(std::io::stdout()));
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            // Clean EOF between frames: the coordinator went away.
-            Ok(None) => return ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("campaign-worker: bad frame: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let msg = match CoordMsg::parse(&frame) {
-            Ok(msg) => msg,
-            Err(e) => {
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (unit, state_dir, corpus_dir, heartbeat_ms) = match msg {
-            CoordMsg::Shutdown => return ExitCode::SUCCESS,
-            CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms } => {
-                (unit, state_dir, corpus_dir, heartbeat_ms)
-            }
-            // Handshake frames never arrive over stdio; tolerate strays.
-            CoordMsg::Welcome { .. } | CoordMsg::Reject { .. } => continue,
-        };
-
-        // Heartbeat immediately (the lease is live before the first run
-        // finishes), then keep beating from a background thread for the
-        // duration of the unit.
-        let stop = Arc::new(AtomicBool::new(false));
-        let beats = {
-            let out = Arc::clone(&out);
-            let stop = Arc::clone(&stop);
-            let unit_id = unit.id;
-            let period = Duration::from_millis(heartbeat_ms.max(1));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let beat = WorkerMsg::Heartbeat { unit: unit_id }.to_json();
-                    let sent = {
-                        let mut out = out.lock().expect("stdout lock");
-                        write_frame(&mut *out, &beat).is_ok()
-                    };
-                    if !sent {
-                        // Closed pipe: the coordinator died or revoked
-                        // the lease; executing to completion is still
-                        // useful (the checkpoint survives).
-                        break;
-                    }
-                    std::thread::sleep(period);
-                }
-            })
-        };
-        let result = worker_execute_unit(
-            &unit,
-            std::path::Path::new(&state_dir),
-            std::path::Path::new(&corpus_dir),
-        );
-        stop.store(true, Ordering::Relaxed);
-        let _ = beats.join();
-        match result {
-            Ok(shard) => {
-                let msg = WorkerMsg::Result { unit: unit.id, shard };
-                let mut out = out.lock().expect("stdout lock");
-                if let Err(e) = write_frame(&mut *out, &msg.to_json()) {
-                    eprintln!("campaign-worker: cannot send result: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("campaign-worker: unit {}: {e}", unit.id);
-                return ExitCode::FAILURE;
-            }
+    let served = match flags.get("connect") {
+        Some(addr) => {
+            let tag = flags.get("tag").and_then(|v| v.parse().ok());
+            serve(&mut TcpLink::new(addr, tag), worker_execute_unit)
         }
-    }
-}
-
-/// The TCP worker loop: dial and handshake through a self-healing
-/// [`Remote`], then serve leases until the coordinator says shutdown.
-/// Wire hiccups heal transparently — the session token presented on
-/// reconnect keeps the current lease alive — and a coordinator that
-/// stays gone past the bounded reconnect budget ends the worker
-/// cleanly (its lease has been requeued by then anyway).
-fn campaign_worker_remote(addr: &str, tag: Option<u64>) -> ExitCode {
-    use revisionist_simulations::smr::service::{
-        read_frame, CoordMsg, Remote, RemoteError, WorkerMsg,
+        None => serve(
+            &mut StdioLink::new(std::io::stdin().lock(), std::io::stdout()),
+            worker_execute_unit,
+        ),
     };
-    use std::io::BufReader;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let remote = Arc::new(Remote::new(addr, tag));
-    loop {
-        let (stream, generation) = match remote.ensure() {
-            Ok(pair) => pair,
-            Err(RemoteError::Fatal(e)) => {
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
-            }
-            Err(RemoteError::Unreachable(e)) => {
-                // After a completed handshake, a coordinator gone past
-                // the reconnect budget is a normal end of service (the
-                // lease is requeued by then); before one it's a
-                // startup failure.
-                if remote.session().is_some() {
-                    eprintln!("campaign-worker: coordinator gone ({e}), exiting");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("campaign-worker: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut reader = BufReader::new(stream);
-        loop {
-            let msg = match read_frame(&mut reader) {
-                Ok(Some(frame)) => match CoordMsg::parse(&frame) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        // A corrupt coordinator frame: drop the link
-                        // and re-handshake rather than act on garbage.
-                        eprintln!("campaign-worker: bad frame: {e}");
-                        remote.disconnect(generation);
-                        break;
-                    }
-                },
-                // EOF or a read error (including the idle timeout):
-                // this connection is done, reconnect and resume.
-                Ok(None) | Err(_) => {
-                    remote.disconnect(generation);
-                    break;
-                }
-            };
-            let (unit, state_dir, corpus_dir, heartbeat_ms) = match msg {
-                CoordMsg::Shutdown => return ExitCode::SUCCESS,
-                CoordMsg::Lease { unit, state_dir, corpus_dir, heartbeat_ms } => {
-                    (unit, state_dir, corpus_dir, heartbeat_ms)
-                }
-                // Stray handshake frames carry no work.
-                CoordMsg::Welcome { .. } | CoordMsg::Reject { .. } => continue,
-            };
-            let stop = Arc::new(AtomicBool::new(false));
-            let beats = {
-                let remote = Arc::clone(&remote);
-                let stop = Arc::clone(&stop);
-                let unit_id = unit.id;
-                let period = Duration::from_millis(heartbeat_ms.max(1));
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let beat =
-                            WorkerMsg::Heartbeat { unit: unit_id }.to_json();
-                        // `send` reconnects on its own; a hard failure
-                        // means the coordinator is past saving, and the
-                        // result send will surface that.
-                        if remote.send(&beat).is_err() {
-                            break;
-                        }
-                        std::thread::sleep(period);
-                    }
-                })
-            };
-            let result = worker_execute_unit(
-                &unit,
-                std::path::Path::new(&state_dir),
-                std::path::Path::new(&corpus_dir),
-            );
-            stop.store(true, Ordering::Relaxed);
-            let _ = beats.join();
-            match result {
-                Ok(shard) => {
-                    let msg = WorkerMsg::Result { unit: unit.id, shard };
-                    if let Err(e) = remote.send(&msg.to_json()) {
-                        eprintln!("campaign-worker: cannot send result: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("campaign-worker: unit {}: {e}", unit.id);
-                    return ExitCode::FAILURE;
-                }
-            }
+    match served {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("campaign-worker: {e}");
+            ExitCode::FAILURE
         }
     }
 }

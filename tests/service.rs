@@ -5,8 +5,11 @@
 //! corpus bundle it writes must replay under the stock `replay`
 //! subcommand.
 
+use revisionist_simulations::smr::campaign::{CampaignConfig, SchedulerSpec};
+use revisionist_simulations::smr::service::{run_service, ServiceOptions, ServiceSpec};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
 fn run(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_revisionist-simulations"))
@@ -56,6 +59,16 @@ fn corpus_bundles(corpus: &Path) -> Vec<PathBuf> {
     bundles
 }
 
+/// The requeue count from the service's stats line.
+fn requeues(stderr: &str) -> usize {
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("service: "))
+        .unwrap_or_else(|| panic!("stats line missing: {stderr}"));
+    let before = line.split(" requeues").next().expect("requeue field");
+    before.rsplit(' ').next().and_then(|n| n.parse().ok()).expect("requeue count")
+}
+
 #[test]
 fn chaos_service_matches_single_process_reference_byte_for_byte() {
     let dir = tmp_dir("chaos");
@@ -95,7 +108,13 @@ fn chaos_service_matches_single_process_reference_byte_for_byte() {
         stderr.contains("1 worker kills, 1 torn journal writes injected"),
         "chaos must actually fire: {stderr}"
     );
-    assert!(stderr.contains("requeues"), "stats line missing: {stderr}");
+    // The kill and the torn write each requeue their unit. A kill that
+    // landed after its unit's result would requeue nothing and leave
+    // the recovery path untested.
+    assert!(
+        requeues(&stderr) >= 2,
+        "both injected faults must requeue their units: {stderr}"
+    );
 
     let ref_bytes = std::fs::read(&reference).unwrap();
     let svc_bytes = std::fs::read(&merged).unwrap();
@@ -185,5 +204,52 @@ fn service_refuses_a_state_dir_from_another_campaign() {
         "structured error expected: {stderr}"
     );
     assert!(stderr.contains("seeds=0+4") && stderr.contains("seeds=0+8"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A unit's result goes out as soon as the unit finishes, not at the
+/// next heartbeat: four short units under a 5 s heartbeat period must
+/// finish well inside one period. (A worker that waits out its beat
+/// before sending each result needs at least 20 s here.)
+#[test]
+fn heartbeat_period_is_not_a_per_unit_floor() {
+    let dir = tmp_dir("floor");
+    let spec = ServiceSpec {
+        system: vec![
+            ("kind".into(), "campaign".into()),
+            ("protocol".into(), "racing".into()),
+            ("procs".into(), "3".into()),
+            ("m".into(), "2".into()),
+            ("rounds".into(), "3".into()),
+        ],
+        config: CampaignConfig {
+            schedulers: vec![SchedulerSpec::RoundRobin],
+            seed_start: 0,
+            runs: 8,
+            budget: 2000,
+            threads: 1,
+        },
+        unit_runs: 2,
+        faults: Vec::new(),
+    };
+    let mut opts = ServiceOptions::new(
+        dir.join("state"),
+        dir.join("corpus"),
+        vec![env!("CARGO_BIN_EXE_revisionist-simulations").into(), "campaign-worker".into()],
+    );
+    opts.workers = 1;
+    opts.heartbeat_interval = Duration::from_secs(5);
+
+    let start = Instant::now();
+    let outcome = run_service(&spec, &opts).expect("service runs");
+    let elapsed = start.elapsed();
+    assert_eq!(outcome.stats.units, 4);
+    assert_eq!((outcome.stats.leases, outcome.stats.requeues), (4, 0));
+    assert_eq!(outcome.report.campaign().total_runs, 8);
+    assert!(
+        elapsed < opts.heartbeat_interval,
+        "4 units took {elapsed:?} against a {:?} heartbeat period",
+        opts.heartbeat_interval
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
