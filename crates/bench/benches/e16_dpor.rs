@@ -11,7 +11,9 @@
 //! (a mid-level cap cuts in visit order and is legitimately
 //! order-dependent). Also re-runs the E14 hot-path workloads with the
 //! reduction on, so states-per-second stays comparable against the
-//! `BENCH_e14.json` baselines. Emits `BENCH_e16.json` (path override
+//! `BENCH_e14.json` baselines. The serializable blind-writer family,
+//! where every pair of steps commutes, gates the reduction at ≥2× fewer
+//! forks. Emits `BENCH_e16.json` (path override
 //! via `BENCH_E16_OUT`) for the `just bench-smoke` target.
 
 use rsim_protocols::racing::racing_system;
@@ -84,14 +86,10 @@ fn samples(default: usize) -> usize {
         .max(1)
 }
 
+/// Report equality on every verdict observable between a DPOR-on and
+/// a DPOR-off run of the same workload.
 fn assert_equivalent(on: &ExploreReport, off: &ExploreReport, label: &str) {
     assert!(on.dpor && !off.dpor, "{label}: dpor flags misrecorded");
-    assert_same_verdicts(on, off, label);
-}
-
-/// Report equality on every verdict observable (both runs reduced; the
-/// static-seeding arm toggles only the matrix prefilter).
-fn assert_same_verdicts(on: &ExploreReport, off: &ExploreReport, label: &str) {
     assert_eq!(on.configs_visited, off.configs_visited, "{label}: configs_visited");
     assert_eq!(on.terminals, off.terminals, "{label}: terminals");
     assert_eq!(on.truncated, off.truncated, "{label}: truncated");
@@ -150,86 +148,41 @@ fn main() {
         "phased-racing family peaked at {headline_factor:.2}x — the ≥2x reduction gate failed"
     );
 
-    // -- static-seeding arm: matrix prefilter on vs off ------------------
-    // Two families: phased racing (all-scanning, so the matrix removes
-    // no edges — the arm measures pure matrix overhead and proves the
-    // reports stay identical) and the serializable blind-writer family
-    // (edge-free matrix, where the prefilter answers every pair query
-    // and DPOR collapses the exploration to one interleaving).
-    let mut static_json = Vec::new();
-    let n = samples(3);
-    for (procs, depth) in FAMILY {
-        let sys = family_system(procs);
-        let check = agreement_check(ints(procs));
-        let limits = Limits { max_depth: depth, max_configs: 8_000_000 };
-        let run = |statics: bool| {
-            Explorer::new(limits)
-                .with_threads(4)
-                .with_static(statics)
-                .explore_parallel(&sys, &check)
-                .expect("explore")
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_same_verdicts(&on, &off, &format!("static racing procs={procs}"));
-        assert_eq!(on.pruned, off.pruned, "static racing procs={procs}: pruned");
-        let on_ns = time_ns(n, || {
-            black_box(run(true));
-        });
-        let off_ns = time_ns(n, || {
-            black_box(run(false));
-        });
-        let hits_per_config = on.prefilter_hits as f64 / on.configs_visited.max(1) as f64;
-        println!(
-            "static/racing_procs_{procs}       {:>9} indep pairs  {:>9} hits  ({:.3} hits/config, {:.0} ms on, {:.0} ms off)",
-            on.static_indep_pairs,
-            on.prefilter_hits,
-            hits_per_config,
-            on_ns / 1e6,
-            off_ns / 1e6,
-        );
-        static_json.push(format!(
-            "    {{\"family\": \"racing\", \"procs\": {procs}, \"static_indep_pairs\": {}, \"prefilter_hits\": {}, \"prefilter_hits_per_config\": {hits_per_config:.4}, \"verdicts_identical\": true, \"on_ms\": {:.1}, \"off_ms\": {:.1}}}",
-            on.static_indep_pairs,
-            on.prefilter_hits,
-            on_ns / 1e6,
-            off_ns / 1e6,
-        ));
-    }
+    // -- serializable family: every pair commutes ----------------------
+    // Blind max-writers: DPOR collapses the exploration to one
+    // interleaving class, with verdicts identical to the unreduced run.
+    let mut serializable_json = Vec::new();
     let mut serializable_fork_reduction = 0.0f64;
     for procs in 3..=6usize {
         let stamps: Vec<i64> = (1..=procs as i64).collect();
         let sys = serializable_system(&stamps);
         let limits = Limits { max_depth: 2 * procs + 2, max_configs: 8_000_000 };
-        let run = |statics: bool| {
+        let run = |dpor: bool| {
             Explorer::new(limits)
                 .with_threads(4)
-                .with_static(statics)
+                .with_dpor(dpor)
                 .explore_parallel(&sys, &|_| None)
                 .expect("explore")
         };
         let on = run(true);
         let off = run(false);
-        assert_same_verdicts(&on, &off, &format!("serializable procs={procs}"));
-        assert!(on.prefilter_hits > 0, "serializable procs={procs}: prefilter idle");
+        assert_equivalent(&on, &off, &format!("serializable procs={procs}"));
         assert_eq!(on.terminals, 1, "serializable procs={procs}: one schedule class");
         let factor = on.reduction_factor();
         serializable_fork_reduction = serializable_fork_reduction.max(factor);
-        let hits_per_config = on.prefilter_hits as f64 / on.configs_visited.max(1) as f64;
         println!(
-            "static/serializable_procs_{procs} {:>9} visited  {:>9} hits  {factor:>5.2}x forks  ({:.3} hits/config)",
-            on.configs_visited, on.prefilter_hits, hits_per_config,
+            "serializable/procs_{procs}      {:>9} visited  {:>9} pruned  {factor:>5.2}x forks",
+            on.configs_visited, on.pruned,
         );
-        static_json.push(format!(
-            "    {{\"family\": \"serializable\", \"procs\": {procs}, \"static_indep_pairs\": {}, \"prefilter_hits\": {}, \"prefilter_hits_per_config\": {hits_per_config:.4}, \"reduction_factor\": {factor:.4}, \"verdicts_identical\": true}}",
-            on.static_indep_pairs,
-            on.prefilter_hits,
+        serializable_json.push(format!(
+            "    {{\"procs\": {procs}, \"visited\": {}, \"pruned\": {}, \"reduction_factor\": {factor:.4}, \"verdicts_identical\": true}}",
+            on.configs_visited, on.pruned,
         ));
     }
     assert!(
         serializable_fork_reduction >= 2.0,
         "serializable family peaked at {serializable_fork_reduction:.2}x — the ≥2x \
-         fork-reduction gate on the fully-prefiltered family failed"
+         fork-reduction gate failed"
     );
 
     // -- E14 hot-path workloads with the reduction on --------------------
@@ -264,9 +217,9 @@ fn main() {
     // -- JSON summary ----------------------------------------------------
     let out = std::env::var("BENCH_E16_OUT").unwrap_or_else(|_| "BENCH_e16.json".into());
     let body = format!(
-        "{{\n  \"experiment\": \"e16_dpor\",\n  \"baseline_commit\": \"61aecfe\",\n  \"family\": [\n{}\n  ],\n  \"static_seeding\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0},\n  \"e14_serial_ratio\": {:.2},\n  \"e14_parallel_ratio\": {:.2}\n}}\n",
+        "{{\n  \"experiment\": \"e16_dpor\",\n  \"baseline_commit\": \"61aecfe\",\n  \"family\": [\n{}\n  ],\n  \"serializable\": [\n{}\n  ],\n  \"headline_reduction_factor\": {headline_factor:.4},\n  \"serializable_reduction_factor\": {serializable_fork_reduction:.4},\n  \"serial_states\": {states},\n  \"serial_states_per_sec\": {serial_rate:.0},\n  \"parallel_states\": {pstates},\n  \"parallel_states_per_sec\": {par_rate:.0},\n  \"e14_serial_ratio\": {:.2},\n  \"e14_parallel_ratio\": {:.2}\n}}\n",
         json.join(",\n"),
-        static_json.join(",\n"),
+        serializable_json.join(",\n"),
         serial_rate / baseline::E14_SERIAL_STATES_PER_SEC,
         par_rate / baseline::E14_PARALLEL_STATES_PER_SEC,
     );

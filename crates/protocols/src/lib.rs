@@ -26,7 +26,8 @@
 //!   `rsim-smr::analyze` pre-flight must report every lint code on it.
 //! * [`serializable`] — n blind max-writers whose interference graph
 //!   is edge-free: the positive fixture for the static interference
-//!   analyzer (RS-W010) and the explorer's static seeding.
+//!   analyzer (RS-W010) and a family where every pair of steps
+//!   commutes, so DPOR collapses exploration to one interleaving class.
 //!
 //! # Example
 //!

@@ -11,8 +11,9 @@
 //! Its role in the reproduction is as the positive fixture for the
 //! static interference analyzer: `rsim-smr::analyze::interfere` must
 //! prove the matrix edge-free and report RS-W010 (exploration adds
-//! nothing over the solo verdicts), and the explorer's static seeding
-//! must collapse the schedule tree to a single interleaving class.
+//! nothing over the solo verdicts), and the explorer's partial-order
+//! reduction must collapse the schedule tree to a single interleaving
+//! class.
 
 use rsim_smr::object::{Object, ObjectId, Operation, Response};
 use rsim_smr::process::{Poised, Process};
@@ -103,30 +104,21 @@ mod tests {
     }
 
     #[test]
-    fn exploration_is_clean_and_fully_prefiltered() {
-        let sys = serializable_system(&[1, 2, 3]);
-        let report = Explorer::default().explore(&sys, &mut |_| None).unwrap();
-        assert!(report.is_clean());
-        assert!(report.static_seed);
-        assert_eq!(report.static_indep_pairs, 3);
-        assert!(report.prefilter_hits > 0);
+    fn exploration_is_clean_and_collapses_to_one_class() {
         // Every pair commutes: the register ends at the maximum stamp
         // on every schedule, so there is exactly one terminal output
-        // vector and DPOR prunes hard.
-        assert_eq!(report.terminals, 1);
-        assert!(report.pruned > 0);
-    }
-
-    #[test]
-    fn static_seeding_on_and_off_agree() {
-        let sys = serializable_system(&[5, 7]);
-        let on = Explorer::default().explore(&sys, &mut |_| None).unwrap();
-        let off = Explorer::default()
-            .with_static(false)
-            .explore(&sys, &mut |_| None)
-            .unwrap();
-        assert_eq!(on.configs_visited, off.configs_visited);
-        assert_eq!(on.terminals, off.terminals);
-        assert_eq!(on.pruned, off.pruned);
+        // vector and DPOR prunes hard, sequentially and in parallel.
+        for stamps in [&[1, 2, 3][..], &[1, 2, 3, 4]] {
+            let sys = serializable_system(stamps);
+            let explorer = Explorer::default();
+            for report in [
+                explorer.explore(&sys, &mut |_| None).unwrap(),
+                explorer.explore_parallel(&sys, &|_| None).unwrap(),
+            ] {
+                assert!(report.is_clean(), "{stamps:?}: {report:?}");
+                assert_eq!(report.terminals, 1, "{stamps:?}: one schedule class");
+                assert!(report.pruned > 0, "{stamps:?}: no forks pruned");
+            }
+        }
     }
 }

@@ -15,11 +15,13 @@
 //! footprint (dependent on everyone), because an incomplete solo run
 //! reveals only a prefix of the operations the process may issue. Even
 //! a complete solo footprint can under-approximate an *adaptive*
-//! process's interleaved behaviour, which is why every consumer of the
-//! matrix is soundness-gated: the explorer evaluates the dynamic oracle
-//! on every enabled pair and fails closed with
-//! [`crate::error::ModelError::StaticUnsound`] the moment an observed
-//! dependence contradicts a static independence claim.
+//! process's interleaved behaviour, so the matrix is soundness-gated:
+//! each campaign run audits its schedule against the dynamic oracle and
+//! fails closed with [`crate::error::ModelError::StaticUnsound`] the
+//! moment an observed dependence contradicts a static independence
+//! claim, and `tests/interfere.rs` audits every configuration of
+//! exhaustive explorations the same way. The explorer itself asks only
+//! the dynamic oracle.
 //!
 //! The footprints feed three diagnostics:
 //!
@@ -142,7 +144,7 @@ impl InterferenceMatrix {
     }
 
     /// Builds a matrix directly from an independence relation, with no
-    /// footprints. Test support only: the explorer's fail-closed audit
+    /// footprints. Test support only: the campaign's fail-closed audit
     /// path needs a deliberately *unsound* matrix, which
     /// [`InterferenceMatrix::build`] can never produce.
     #[cfg(test)]
@@ -171,20 +173,6 @@ impl InterferenceMatrix {
     /// and out-of-range ids (fail toward dependence).
     pub fn independent(&self, p: usize, q: usize) -> bool {
         p < self.n && q < self.n && self.indep[p * self.n + q]
-    }
-
-    /// Process `p`'s independence row as a bitmask (bit `q` set when
-    /// statically independent of `q`), for the explorer's 32-process
-    /// mask arithmetic. Rows for `p ≥ 32` would not fit and return 0
-    /// (all-dependent), matching the DPOR fallback.
-    pub fn row_mask(&self, p: usize) -> u32 {
-        let mut mask = 0u32;
-        for q in 0..self.n.min(32) {
-            if self.independent(p, q) {
-                mask |= 1 << q;
-            }
-        }
-        mask
     }
 
     /// Number of unordered statically-independent pairs.
@@ -486,8 +474,6 @@ mod tests {
         assert!(!matrix.independent(0, 0));
         assert_eq!(matrix.indep_pairs(), 1);
         assert!(matrix.is_edge_free());
-        assert_eq!(matrix.row_mask(0), 0b10);
-        assert_eq!(matrix.row_mask(1), 0b01);
     }
 
     #[test]

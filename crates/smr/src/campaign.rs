@@ -460,8 +460,7 @@ pub struct RunRecord {
     /// Adjacent schedule pairs the run's static interference matrix
     /// answered "independent", each audited against the dynamic
     /// oracle after the run (a contradiction fails the run closed
-    /// with [`ModelError::StaticUnsound`]). The campaign analogue of
-    /// [`crate::explore::ExploreReport::prefilter_hits`].
+    /// with [`ModelError::StaticUnsound`]).
     pub prefilter_hits: usize,
     /// Unordered process pairs the run's static interference matrix
     /// proved independent before the first step.
@@ -1716,6 +1715,29 @@ mod tests {
             })
             .collect();
         System::new(vec![Object::snapshot(1)], procs)
+    }
+
+    #[test]
+    fn static_audit_fails_closed_on_an_unsound_matrix() {
+        // p0 scans and updates component 0, then p1 scans the same
+        // object: the adjacent update/scan pair is dynamically
+        // dependent. A matrix claiming every pair independent must be
+        // caught by the audit, never silently trusted.
+        let mut sys = factory(0);
+        for pid in [0, 0, 1] {
+            sys.step(crate::process::ProcessId(pid)).unwrap();
+        }
+        let unsound = crate::analyze::InterferenceMatrix::from_relation(3, |_, _| true);
+        match static_audit(&sys, &unsound, 0) {
+            Err(ModelError::StaticUnsound { p: 0, q: 1, ops }) => {
+                assert!(ops.contains("vs"), "ops was: {ops}");
+            }
+            other => panic!("expected StaticUnsound for p0/p1, got {other:?}"),
+        }
+
+        // The genuine matrix for the same system passes.
+        let sound = crate::analyze::InterferenceMatrix::build(&factory(0), 64);
+        assert!(static_audit(&sys, &sound, 0).is_ok());
     }
 
     #[test]

@@ -82,11 +82,11 @@ pub enum ModelError {
         /// Why it failed.
         reason: String,
     },
-    /// The static interference matrix claimed two processes
-    /// independent, but the dynamic happens-before oracle observed a
-    /// dependent pair of their steps. The static pass may
-    /// over-approximate dependence but never independence, so this is
-    /// an analyzer bug and the run fails closed.
+    /// A campaign run's static audit found an adjacent pair of steps
+    /// that the run's static interference matrix calls independent but
+    /// the dynamic happens-before oracle calls dependent. The static
+    /// pass may over-approximate dependence but never independence, so
+    /// this is an analyzer bug and the run fails closed.
     StaticUnsound {
         /// The first process of the pair.
         p: usize,

@@ -50,23 +50,7 @@
 //! lex-least shortest witness always survives pruning. Suppressed
 //! forks are tallied in [`ExploreReport::pruned`]; the headline metric
 //! is [`ExploreReport::reduction_factor`].
-//!
-//! # Static interference seeding
-//!
-//! When DPOR is active, the explorer first condenses every process's
-//! solo footprint into a static [`InterferenceMatrix`]
-//! (see [`crate::analyze::interfere`]) — on by default, see
-//! [`Explorer::with_static`]. The matrix is a *prefilter*: pairs it
-//! calls independent would not need the per-step dynamic oracle at
-//! all. Because a static analyzer must over-approximate dependence
-//! and never independence, the explorer audits every static
-//! "independent" answer against the dynamic oracle: confirmations are
-//! tallied in [`ExploreReport::prefilter_hits`], and a disagreement
-//! fails the whole run closed with [`ModelError::StaticUnsound`]. The
-//! sleep sets actually used are always the dynamic oracle's answers,
-//! so reports are byte-for-byte identical with seeding on or off.
 
-use crate::analyze::interfere::InterferenceMatrix;
 use crate::error::ModelError;
 use crate::hb::independent;
 use crate::object::Operation;
@@ -115,17 +99,6 @@ pub struct ExploreReport {
     /// configured setting, downgraded to `false` for systems with more
     /// than 32 processes).
     pub dpor: bool,
-    /// Whether a static interference matrix seeded this run (the
-    /// configured setting, downgraded to `false` whenever DPOR itself
-    /// is inactive — the matrix only serves the reduction).
-    pub static_seed: bool,
-    /// Unordered process pairs the static matrix proved independent
-    /// before exploration began. `0` without static seeding.
-    pub static_indep_pairs: usize,
-    /// Enabled-pair evaluations the static matrix answered
-    /// "independent", each audited and confirmed against the dynamic
-    /// oracle. `0` without static seeding.
-    pub prefilter_hits: usize,
     /// Whether exploration was cut off by [`Limits`] or a wall-clock
     /// watchdog.
     pub truncated: bool,
@@ -170,7 +143,6 @@ pub struct Explorer {
     soft_wall_limit: Option<Duration>,
     preflight: bool,
     dpor: bool,
-    statics: bool,
 }
 
 impl Default for Explorer {
@@ -182,7 +154,6 @@ impl Default for Explorer {
             soft_wall_limit: None,
             preflight: true,
             dpor: true,
-            statics: true,
         }
     }
 }
@@ -252,21 +223,6 @@ impl Explorer {
         self
     }
 
-    /// Enables or disables static interference seeding (on by
-    /// default). When on and DPOR is active, a static
-    /// [`InterferenceMatrix`] is built from the initial system's solo
-    /// footprints and consulted as a prefilter ahead of the per-step
-    /// dynamic oracle; every static "independent" answer is audited
-    /// against the dynamic one, so verdicts and counts are identical
-    /// either way and an unsound matrix fails the run closed with
-    /// [`ModelError::StaticUnsound`]. Off, the dynamic oracle runs
-    /// alone — the escape hatch for differential testing.
-    #[must_use]
-    pub fn with_static(mut self, statics: bool) -> Self {
-        self.statics = statics;
-        self
-    }
-
     /// The configured worker-thread count (`0` = all cores).
     pub fn threads(&self) -> usize {
         self.threads
@@ -275,11 +231,6 @@ impl Explorer {
     /// Whether partial-order reduction is configured on.
     pub fn dpor(&self) -> bool {
         self.dpor
-    }
-
-    /// Whether static interference seeding is configured on.
-    pub fn statics(&self) -> bool {
-        self.statics
     }
 
     fn run_preflight(&self, initial: &System) -> Result<(), ModelError> {
@@ -303,14 +254,6 @@ impl Explorer {
         self.dpor && initial.process_count() <= DPOR_MAX_PROCS
     }
 
-    /// Builds the static interference matrix for this run, when
-    /// seeding is configured on and DPOR is effective (the matrix only
-    /// serves the reduction, so there is nothing to seed without it).
-    fn matrix_for(&self, initial: &System, dpor: bool) -> Option<InterferenceMatrix> {
-        (dpor && self.statics)
-            .then(|| InterferenceMatrix::build(initial, crate::analyze::DEFAULT_BUDGET))
-    }
-
     /// Explores all schedules from `initial`, invoking `check` on every
     /// visited configuration (with the schedule so far). `check` returns
     /// a violation description to stop the search.
@@ -325,15 +268,11 @@ impl Explorer {
     ) -> Result<ExploreReport, ModelError> {
         self.run_preflight(initial)?;
         let dpor = self.dpor_for(initial);
-        let matrix = self.matrix_for(initial, dpor);
         let mut report = ExploreReport {
             configs_visited: 0,
             terminals: 0,
             pruned: 0,
             dpor,
-            static_seed: matrix.is_some(),
-            static_indep_pairs: matrix.as_ref().map_or(0, InterferenceMatrix::indep_pairs),
-            prefilter_hits: 0,
             truncated: false,
             truncation: None,
             violation: None,
@@ -393,12 +332,7 @@ impl Explorer {
                     continue;
                 }
             }
-            let masks = StepMasks::of(
-                &sys,
-                dpor,
-                matrix.as_ref(),
-                &mut report.prefilter_hits,
-            )?;
+            let masks = StepMasks::of(&sys, dpor);
             let meta = seen.get_mut(&fp).expect("visited entry exists");
             let claim = masks.enabled & !sleep & !meta.expanded;
             if dpor {
@@ -474,15 +408,11 @@ impl Explorer {
         self.run_preflight(initial)?;
         let threads = self.resolved_threads();
         let dpor = self.dpor_for(initial);
-        let matrix = self.matrix_for(initial, dpor);
         let mut report = ExploreReport {
             configs_visited: 0,
             terminals: 0,
             pruned: 0,
             dpor,
-            static_seed: matrix.is_some(),
-            static_indep_pairs: matrix.as_ref().map_or(0, InterferenceMatrix::indep_pairs),
-            prefilter_hits: 0,
             truncated: false,
             truncation: None,
             violation: None,
@@ -504,12 +434,7 @@ impl Explorer {
         // duplicate pre-filter; the merge below is the only writer, and
         // runs strictly between levels.
         let mut visited: HashMap<u64, StateMeta> = HashMap::new();
-        let root_masks = StepMasks::of(
-            initial,
-            dpor,
-            matrix.as_ref(),
-            &mut report.prefilter_hits,
-        )?;
+        let root_masks = StepMasks::of(initial, dpor);
         visited.insert(
             initial.config_fingerprint(),
             StateMeta { expanded: root_masks.enabled, slept: 0 },
@@ -545,10 +470,8 @@ impl Explorer {
                      prefixes ({capped_entries} entries shed so far)"
                 ));
             }
-            let level = self.run_level(
-                &frontier, base_depth, check, &visited, threads, dpor,
-                matrix.as_ref(),
-            );
+            let level =
+                self.run_level(&frontier, base_depth, check, &visited, threads, dpor);
 
             // Merge chunk results in frontier order: every aggregate
             // below is then independent of worker scheduling.
@@ -582,7 +505,6 @@ impl Explorer {
             for chunk in chunks {
                 report.terminals += chunk.terminals;
                 report.truncated |= chunk.truncated;
-                report.prefilter_hits += chunk.prefilter_hits;
                 if collect_terminals {
                     for outs in chunk.terminal_outputs {
                         if seen_outputs.insert(outs.clone()) {
@@ -654,7 +576,6 @@ impl Explorer {
 
     /// Runs one frontier level across `threads` workers stealing chunks
     /// through a shared atomic cursor.
-    #[allow(clippy::too_many_arguments)]
     fn run_level(
         &self,
         frontier: &[Prefix],
@@ -663,7 +584,6 @@ impl Explorer {
         visited: &HashMap<u64, StateMeta>,
         threads: usize,
         dpor: bool,
-        matrix: Option<&InterferenceMatrix>,
     ) -> Mutex<Vec<LevelChunk>> {
         let results: Mutex<Vec<LevelChunk>> = Mutex::new(Vec::new());
         let cursor = AtomicUsize::new(0);
@@ -685,7 +605,6 @@ impl Explorer {
                         visited,
                         max_depth,
                         dpor,
-                        matrix,
                     );
                     results.lock().expect("level results lock").push(chunk);
                 });
@@ -832,20 +751,9 @@ struct StepMasks {
 }
 
 impl StepMasks {
-    /// Computes the masks for one configuration. With a `matrix`
-    /// present, every enabled pair the matrix calls statically
-    /// independent is audited against the dynamic oracle: a confirmed
-    /// answer bumps `prefilter_hits`, a contradicted one fails closed
-    /// with [`ModelError::StaticUnsound`] (the static pass may
-    /// over-approximate dependence, never independence). The masks
-    /// actually used are always the dynamic oracle's answers, so the
-    /// exploration is identical with or without the matrix.
-    fn of(
-        sys: &System,
-        dpor: bool,
-        matrix: Option<&InterferenceMatrix>,
-        prefilter_hits: &mut usize,
-    ) -> Result<StepMasks, ModelError> {
+    /// Computes the masks for one configuration, asking the dynamic
+    /// oracle ([`independent`]) about every pair of poised operations.
+    fn of(sys: &System, dpor: bool) -> StepMasks {
         let n = sys.process_count();
         let mut ops: Vec<Option<Operation>> = Vec::with_capacity(n);
         let mut enabled = 0u32;
@@ -867,26 +775,14 @@ impl StepMasks {
                 let Some(op_i) = &ops[i] else { continue };
                 for j in i + 1..n {
                     let Some(op_j) = &ops[j] else { continue };
-                    let dynamic = independent(op_i, op_j);
-                    if matrix.is_some_and(|m| m.independent(i, j)) {
-                        if dynamic {
-                            *prefilter_hits += 1;
-                        } else {
-                            return Err(ModelError::StaticUnsound {
-                                p: i,
-                                q: j,
-                                ops: format!("{op_i:?} vs {op_j:?}"),
-                            });
-                        }
-                    }
-                    if dynamic {
+                    if independent(op_i, op_j) {
                         indep[i] |= 1 << j;
                         indep[j] |= 1 << i;
                     }
                 }
             }
         }
-        Ok(StepMasks { enabled, indep })
+        StepMasks { enabled, indep }
     }
 }
 
@@ -929,14 +825,11 @@ struct LevelChunk {
     terminal_outputs: Vec<Vec<Value>>,
     /// Lowest-index step error within the chunk.
     error: Option<(usize, ModelError)>,
-    /// Static-prefilter confirmations across the chunk's entries.
-    prefilter_hits: usize,
 }
 
 /// Checks and expands one chunk of frontier entries. `base_depth` is
 /// the trace length of the initial configuration: the schedule of any
 /// entry is its trace suffix past that point.
-#[allow(clippy::too_many_arguments)]
 fn expand_chunk(
     entries: &[Prefix],
     start: usize,
@@ -945,7 +838,6 @@ fn expand_chunk(
     visited: &HashMap<u64, StateMeta>,
     max_depth: usize,
     dpor: bool,
-    matrix: Option<&InterferenceMatrix>,
 ) -> LevelChunk {
     let mut out = LevelChunk {
         start,
@@ -955,7 +847,6 @@ fn expand_chunk(
         children: Vec::new(),
         terminal_outputs: Vec::new(),
         error: None,
-        prefilter_hits: 0,
     };
     for (offset, entry) in entries.iter().enumerate() {
         let idx = start + offset;
@@ -985,24 +876,7 @@ fn expand_chunk(
                 return true;
             }
             if dpor {
-                let masks = match StepMasks::of(
-                    sys,
-                    true,
-                    matrix,
-                    &mut out.prefilter_hits,
-                ) {
-                    Ok(masks) => masks,
-                    Err(err) => {
-                        // An unsound matrix fails the entry closed; the
-                        // canonical merge picks the lowest-index error
-                        // across chunks, keeping the outcome identical
-                        // at every thread count.
-                        if out.error.is_none() {
-                            out.error = Some((idx, err));
-                        }
-                        return true;
-                    }
-                };
+                let masks = StepMasks::of(sys, true);
                 let mut remaining = entry.claim;
                 while remaining != 0 {
                     let q = remaining.trailing_zeros() as usize;
@@ -1156,7 +1030,7 @@ fn group_termination_check(sys: &System, x: usize, budget: usize) -> Option<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{Object, ObjectId, Response};
+    use crate::object::{Object, ObjectId};
     use crate::process::{Process, ProtocolStep, SnapshotProcess, SnapshotProtocol};
 
     /// Writes its input then outputs the register's content.
@@ -1221,45 +1095,6 @@ mod tests {
             })
             .collect();
         System::new(vec![Object::snapshot(4)], processes)
-    }
-
-    /// Writes its own snapshot component without ever scanning, then
-    /// outputs: processes are *statically* independent (disjoint write
-    /// sets, no reads), so the interference matrix can actually answer
-    /// pair queries ahead of the dynamic oracle.
-    #[derive(Clone, Debug)]
-    struct BlindWriter {
-        slot: usize,
-        wrote: bool,
-    }
-
-    impl Process for BlindWriter {
-        fn poised(&self) -> Poised {
-            if self.wrote {
-                Poised::Output(Value::Int(self.slot as i64))
-            } else {
-                Poised::Step(Operation::Update {
-                    obj: ObjectId(0),
-                    component: self.slot,
-                    value: Value::Int(1),
-                })
-            }
-        }
-        fn receive(&mut self, _resp: Response) {
-            self.wrote = true;
-        }
-        fn boxed_clone(&self) -> Box<dyn Process> {
-            Box::new(self.clone())
-        }
-    }
-
-    fn blind_writers(n: usize) -> System {
-        let processes = (0..n)
-            .map(|slot| {
-                Box::new(BlindWriter { slot, wrote: false }) as Box<dyn Process>
-            })
-            .collect();
-        System::new(vec![Object::snapshot(n)], processes)
     }
 
     #[test]
@@ -1569,114 +1404,5 @@ mod tests {
             .unwrap();
         assert!(!report.truncated);
         assert!(report.truncation.is_none());
-    }
-
-    #[test]
-    fn static_seeding_leaves_reports_identical() {
-        // The audit contract: the matrix is a prefilter only, the
-        // masks used are always the dynamic oracle's — every verdict
-        // and count must match with the seeding on or off, in both
-        // explorer modes.
-        for sys in
-            [two_process_system(), independent_writers(3), blind_writers(3)]
-        {
-            let on = Explorer::default();
-            let off = Explorer::default().with_static(false);
-            let rep_on = on.explore(&sys, &mut |_| None).unwrap();
-            let rep_off = off.explore(&sys, &mut |_| None).unwrap();
-            assert_eq!(rep_on.configs_visited, rep_off.configs_visited);
-            assert_eq!(rep_on.terminals, rep_off.terminals);
-            assert_eq!(rep_on.pruned, rep_off.pruned);
-            assert!(rep_on.static_seed);
-            assert!(!rep_off.static_seed);
-            assert_eq!(rep_off.static_indep_pairs, 0);
-            assert_eq!(rep_off.prefilter_hits, 0);
-
-            let par_on =
-                on.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            let par_off =
-                off.with_threads(4).explore_parallel(&sys, &|_| None).unwrap();
-            assert_eq!(par_on.configs_visited, par_off.configs_visited);
-            assert_eq!(par_on.terminals, par_off.terminals);
-            assert_eq!(par_on.pruned, par_off.pruned);
-        }
-    }
-
-    #[test]
-    fn static_prefilter_fires_on_blind_writers() {
-        // Three never-reading writers to disjoint components: all three
-        // pairs are statically independent, so the matrix answers (and
-        // the audit confirms) at least once per expanded configuration.
-        let sys = blind_writers(3);
-        let report = Explorer::default().explore(&sys, &mut |_| None).unwrap();
-        assert!(report.static_seed);
-        assert_eq!(report.static_indep_pairs, 3);
-        assert!(report.prefilter_hits > 0, "prefilter never consulted: {report:?}");
-        assert!(report.pruned > 0);
-
-        // Scanning protocols are statically dependent on every writer
-        // of the object: the matrix is all-dependent and never answers.
-        let scanning = Explorer::default()
-            .explore(&independent_writers(3), &mut |_| None)
-            .unwrap();
-        assert!(scanning.static_seed);
-        assert_eq!(scanning.static_indep_pairs, 0);
-        assert_eq!(scanning.prefilter_hits, 0);
-    }
-
-    #[test]
-    fn parallel_prefilter_hits_are_thread_count_invariant() {
-        let sys = blind_writers(3);
-        let base = Explorer::default()
-            .with_threads(1)
-            .explore_parallel(&sys, &|_| None)
-            .unwrap();
-        assert!(base.prefilter_hits > 0);
-        for threads in [2, 4, 8] {
-            let rep = Explorer::default()
-                .with_threads(threads)
-                .explore_parallel(&sys, &|_| None)
-                .unwrap();
-            assert_eq!(rep.prefilter_hits, base.prefilter_hits, "t={threads}");
-            assert_eq!(rep.static_indep_pairs, base.static_indep_pairs);
-        }
-    }
-
-    #[test]
-    fn static_seeding_is_inert_without_dpor() {
-        let report = Explorer::default()
-            .with_dpor(false)
-            .explore(&blind_writers(3), &mut |_| None)
-            .unwrap();
-        assert!(!report.static_seed);
-        assert_eq!(report.static_indep_pairs, 0);
-        assert_eq!(report.prefilter_hits, 0);
-    }
-
-    #[test]
-    fn unsound_matrix_fails_closed() {
-        // Step p0 once so it is poised to update component 0 while p1
-        // is poised to scan the same object — a dynamically dependent
-        // pair. A matrix claiming the pair independent must be caught
-        // by the audit, never silently trusted.
-        let mut sys = two_process_system();
-        sys.step(ProcessId(0)).unwrap();
-        let unsound = InterferenceMatrix::from_relation(2, |_, _| true);
-        let mut hits = 0usize;
-        let err = match StepMasks::of(&sys, true, Some(&unsound), &mut hits) {
-            Ok(_) => panic!("unsound matrix was not caught"),
-            Err(err) => err,
-        };
-        match err {
-            ModelError::StaticUnsound { p: 0, q: 1, ref ops } => {
-                assert!(ops.contains("vs"), "ops was: {ops}");
-            }
-            other => panic!("expected StaticUnsound, got {other:?}"),
-        }
-
-        // The genuine matrix for the same configuration passes.
-        let sound = InterferenceMatrix::build(&sys, 64);
-        let mut hits = 0usize;
-        StepMasks::of(&sys, true, Some(&sound), &mut hits).unwrap();
     }
 }

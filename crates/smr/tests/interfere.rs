@@ -3,36 +3,107 @@
 //! The static independence matrix may only ever *agree with or
 //! over-approximate* the dynamic happens-before oracle: a pair the
 //! matrix calls independent must be dynamically independent on every
-//! reachable co-enabled operation pair. The explorer enforces this
-//! fail-closed (`ModelError::StaticUnsound`), so the strongest gate is
-//! simply running the seeded explorer over a large generated corpus —
-//! any unsound matrix entry aborts the exploration. On top of that,
-//! static seeding must be invisible in the report: byte-identical
-//! observables with seeding on or off, at 1 and 4 threads.
+//! reachable co-enabled operation pair. The explorer itself only asks
+//! the dynamic oracle, so the gate is a differential check run at test
+//! time: every configuration an exhaustive exploration visits is
+//! audited pair by pair against the matrix built from its initial
+//! system, over a large generated corpus, mixed writer/scanner
+//! fixtures with real independent pairs, and the mutation set.
 
 use rsim_smr::analyze::{InterferenceMatrix, DEFAULT_BUDGET};
-use rsim_smr::explore::{Explorer, ExploreReport, Limits};
+use rsim_smr::error::ModelError;
+use rsim_smr::explore::{ExploreReport, Explorer, Limits};
 use rsim_smr::gen::{fuzz::consensus_check, GenSpec};
-use rsim_smr::hb::DependentPairs;
+use rsim_smr::hb::{independent, DependentPairs};
 use rsim_smr::object::{Object, ObjectId, Operation, Response};
 use rsim_smr::process::{Poised, Process, ProcessId};
 use rsim_smr::system::System;
 use rsim_smr::value::Value;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Depth-bounded, effectively config-unbounded: the sound regime for
-/// on/off report comparison (see `tests/dpor.rs` for the argument).
-/// Pre-flight is off: the corpus deliberately includes mutants that
-/// violate the lint discipline — the subject here is matrix soundness,
-/// which must hold on ill-formed systems too.
+/// Depth-bounded and effectively config-unbounded, so every
+/// configuration up to the depth is visited and audited. Pre-flight is
+/// off: the corpus deliberately includes mutants that violate the lint
+/// discipline — the subject here is matrix soundness, which must hold
+/// on ill-formed systems too.
 const LIMITS: Limits = Limits { max_depth: 9, max_configs: 5_000_000 };
 
-fn explore(sys: &System, statics: bool, threads: usize, check: &(dyn Fn(&System) -> Option<String> + Sync)) -> ExploreReport {
-    Explorer::new(LIMITS)
-        .with_threads(threads)
-        .with_static(statics)
-        .with_preflight(false)
-        .explore_parallel(sys, check)
-        .unwrap_or_else(|e| panic!("static seeding must be sound: {e}"))
+/// The matrix of one initial system, audited against the dynamic
+/// oracle at every configuration an exploration visits.
+struct Differential {
+    matrix: InterferenceMatrix,
+    /// Co-enabled pairs the matrix called independent and the dynamic
+    /// oracle agreed.
+    confirmed: AtomicUsize,
+    /// Co-enabled pairs the matrix called independent but the dynamic
+    /// oracle found dependent.
+    refuted: Mutex<Vec<String>>,
+}
+
+impl Differential {
+    fn new(sys: &System) -> Self {
+        Differential {
+            matrix: InterferenceMatrix::build(sys, DEFAULT_BUDGET),
+            confirmed: AtomicUsize::new(0),
+            refuted: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn audit(&self, sys: &System) {
+        let ops: Vec<Option<Operation>> = (0..sys.process_count())
+            .map(|i| match sys.poised(ProcessId(i)) {
+                Poised::Step(op) => Some(op),
+                Poised::Output(_) => None,
+            })
+            .collect();
+        for (i, op_i) in ops.iter().enumerate() {
+            let Some(op_i) = op_i else { continue };
+            for (j, op_j) in ops.iter().enumerate().skip(i + 1) {
+                let Some(op_j) = op_j else { continue };
+                if !self.matrix.independent(i, j) {
+                    continue;
+                }
+                if independent(op_i, op_j) {
+                    self.confirmed.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.refuted
+                        .lock()
+                        .unwrap()
+                        .push(format!("p{i} and p{j} at {op_i:?} vs {op_j:?}"));
+                }
+            }
+        }
+    }
+
+    /// Explores `sys` from scratch, auditing every visited
+    /// configuration before `check` sees it.
+    fn explore(
+        &self,
+        sys: &System,
+        threads: usize,
+        check: &(dyn Fn(&System) -> Option<String> + Sync),
+    ) -> Result<ExploreReport, ModelError> {
+        Explorer::new(LIMITS)
+            .with_threads(threads)
+            .with_preflight(false)
+            .explore_parallel(sys, &|s: &System| {
+                self.audit(s);
+                check(s)
+            })
+    }
+
+    /// Fails on any refuted pair; returns the confirmations so far.
+    fn assert_sound(&self, label: &str) -> usize {
+        let refuted = self.refuted.lock().unwrap();
+        assert!(
+            refuted.is_empty(),
+            "{label}: the matrix calls {} dynamically dependent pairs independent, first: {:?}",
+            refuted.len(),
+            &refuted[..refuted.len().min(3)]
+        );
+        self.confirmed.load(Ordering::Relaxed)
+    }
 }
 
 /// Writes its own snapshot slot once — never reads — then outputs.
@@ -101,80 +172,49 @@ fn mixed_system(writers: usize, scanners: usize) -> System {
     System::new(vec![Object::snapshot(writers.max(1))], processes)
 }
 
-fn assert_equivalent(on: &ExploreReport, off: &ExploreReport, label: &str) {
-    assert!(on.static_seed, "{label}: seeding not active");
-    assert!(!off.static_seed, "{label}: escape hatch not recorded");
-    assert_eq!(off.prefilter_hits, 0, "{label}: unseeded run counted hits");
-    assert_eq!(off.static_indep_pairs, 0, "{label}: unseeded run built a matrix");
-    assert_eq!(on.configs_visited, off.configs_visited, "{label}: configs_visited");
-    assert_eq!(on.terminals, off.terminals, "{label}: terminals");
-    assert_eq!(on.pruned, off.pruned, "{label}: pruned");
-    assert_eq!(on.truncated, off.truncated, "{label}: truncated");
-    assert_eq!(on.violation, off.violation, "{label}: violation");
-}
-
-/// The headline soundness gate: 256 generated protocols explored with
-/// the static matrix armed. Every matrix-independent claim is audited
-/// against the dynamic oracle on every co-enabled pair — an unsound
-/// entry fails the exploration (and this test). Reports must be
-/// byte-identical to unseeded runs at 1 and 4 threads.
+/// The headline soundness gate: 256 generated protocols explored
+/// exhaustively to the depth bound, with every visited configuration
+/// audited against the matrix of the initial system.
 #[test]
 fn soundness_gate_over_generated_protocols() {
     for seed in 0..256u64 {
         let spec = GenSpec::from_seed(seed);
         let sys = spec.build_system();
-        let check = consensus_check(spec.inputs());
-        let matrix = InterferenceMatrix::build(&sys, DEFAULT_BUDGET);
-        let baseline = explore(&sys, true, 1, &check);
-        assert_eq!(
-            baseline.static_indep_pairs,
-            matrix.indep_pairs(),
-            "gen:{seed}: report disagrees with the matrix it was seeded from"
-        );
-        for threads in [1usize, 4] {
-            let on = explore(&sys, true, threads, &check);
-            let off = explore(&sys, false, threads, &check);
-            assert_equivalent(&on, &off, &format!("gen:{seed} threads={threads}"));
-            // Seeded reports are additionally bit-identical across
-            // thread counts, prefilter tally included.
-            assert_eq!(on.configs_visited, baseline.configs_visited, "gen:{seed}");
-            assert_eq!(on.prefilter_hits, baseline.prefilter_hits, "gen:{seed} threads={threads}");
-            assert_eq!(on.violation, baseline.violation, "gen:{seed}");
-        }
+        let diff = Differential::new(&sys);
+        diff.explore(&sys, 1, &consensus_check(spec.inputs()))
+            .unwrap_or_else(|e| panic!("gen:{seed}: exploration failed: {e}"));
+        diff.assert_sound(&format!("gen:{seed}"));
     }
 }
 
 /// The generated corpus is all-scanning (object-granularity reads make
-/// every pair dependent), so the prefilter is vacuous there. Mixed
-/// blind-writer/scanner fixtures exercise the other half: matrices
-/// with real independent pairs, audited against the dynamic oracle on
-/// every co-enabled pair, at 1 and 4 threads, with hits observed.
+/// every pair dependent), so its matrices call nothing independent.
+/// Mixed blind-writer/scanner fixtures exercise the other half:
+/// matrices with real independent pairs, confirmed by the dynamic
+/// oracle at every visited configuration, at 1 and 4 threads.
 #[test]
 fn soundness_gate_over_mixed_fixture_families() {
-    let mut total_hits = 0usize;
     for (writers, scanners) in
         [(2usize, 1usize), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
     {
         let sys = mixed_system(writers, scanners);
         let label = format!("mixed {writers}w+{scanners}s");
-        let matrix = InterferenceMatrix::build(&sys, DEFAULT_BUDGET);
-        assert_eq!(
-            matrix.indep_pairs(),
-            writers * (writers - 1) / 2 + scanners * (scanners - 1) / 2,
-            "{label}: writer-writer and scanner-scanner pairs are the \
-             independent ones"
-        );
-        let baseline = explore(&sys, true, 1, &|_| None);
-        assert!(baseline.prefilter_hits > 0, "{label}: prefilter never fired");
+        let mut confirmed = Vec::new();
         for threads in [1usize, 4] {
-            let on = explore(&sys, true, threads, &|_| None);
-            let off = explore(&sys, false, threads, &|_| None);
-            assert_equivalent(&on, &off, &format!("{label} threads={threads}"));
-            assert_eq!(on.prefilter_hits, baseline.prefilter_hits, "{label} t={threads}");
+            let diff = Differential::new(&sys);
+            assert_eq!(
+                diff.matrix.indep_pairs(),
+                writers * (writers - 1) / 2 + scanners * (scanners - 1) / 2,
+                "{label}: writer-writer and scanner-scanner pairs are the \
+                 independent ones"
+            );
+            diff.explore(&sys, threads, &|_| None)
+                .unwrap_or_else(|e| panic!("{label}: exploration failed: {e}"));
+            confirmed.push(diff.assert_sound(&format!("{label} threads={threads}")));
         }
-        total_hits += baseline.prefilter_hits;
+        assert!(confirmed[0] > 0, "{label}: no independent co-enabled pair audited");
+        assert_eq!(confirmed[0], confirmed[1], "{label}: audit differs across thread counts");
     }
-    assert!(total_hits > 0);
 }
 
 /// The direct differential check, without the explorer in the loop:
@@ -221,34 +261,17 @@ fn dynamic_dependences_are_a_subset_of_static_dependences() {
 /// change process *behaviour*, and the matrix is rebuilt from the
 /// mutated system, so soundness must survive every mutation kind.
 /// Some mutants violate the runtime's ownership discipline and error
-/// out mid-exploration — then seeding on and off must fail with the
-/// *same* error, and never with a static-soundness one.
+/// out mid-exploration; every configuration visited before the error
+/// is still audited.
 #[test]
 fn soundness_gate_survives_mutations() {
     for seed in [0u64, 7, 33, 90, 151, 200] {
         for mutation in rsim_smr::gen::mutate::ALL_MUTATIONS {
             let spec = mutation.apply(&GenSpec::from_seed(seed));
             let sys = spec.build_system();
-            let check = consensus_check(spec.inputs());
-            let label = format!("gen:{seed}:{mutation:?}");
-            let run = |statics: bool| {
-                Explorer::new(LIMITS)
-                    .with_static(statics)
-                    .with_preflight(false)
-                    .explore_parallel(&sys, &check)
-            };
-            match (run(true), run(false)) {
-                (Ok(on), Ok(off)) => assert_equivalent(&on, &off, &label),
-                (Err(on), Err(off)) => {
-                    assert_eq!(on.to_string(), off.to_string(), "{label}");
-                    assert!(
-                        !on.to_string().contains("static interference matrix unsound"),
-                        "{label}: the matrix itself was unsound: {on}"
-                    );
-                }
-                (Ok(_), Err(e)) => panic!("{label}: only the unseeded run failed: {e}"),
-                (Err(e), Ok(_)) => panic!("{label}: only the seeded run failed: {e}"),
-            }
+            let diff = Differential::new(&sys);
+            let _ = diff.explore(&sys, 1, &consensus_check(spec.inputs()));
+            diff.assert_sound(&format!("gen:{seed}:{mutation:?}"));
         }
     }
 }

@@ -82,7 +82,9 @@
 //! same atomic tmp+rename path used for checkpoints and bundles.
 //!
 //! All arguments are plain `--key value` pairs; no external argument
-//! parser is used.
+//! parser is used. `--help` or `-h` after any subcommand prints the
+//! usage and exits 0; an integer flag whose value does not parse exits
+//! 2 naming the flag.
 
 use revisionist_simulations::core::bounds;
 use revisionist_simulations::core::replay;
@@ -102,6 +104,10 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::FAILURE;
     };
+    if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+        print_usage();
+        return ExitCode::SUCCESS;
+    }
     let flags = parse_flags(&args[1..]);
     match command.as_str() {
         "bounds" => cmd_bounds(&args[1..]),
@@ -154,7 +160,6 @@ fn print_usage() {
          \x20\x20\x20\x20 [--procs N] [--m M] [--rounds R] [--depth D] [--max-configs C]\n\
          \x20\x20\x20\x20 [--threads T] [--seed S] [--json] [--no-preflight]\n\
          \x20\x20\x20\x20 [--no-dpor]  (disable partial-order reduction; same verdicts, no pruning)\n\
-         \x20\x20\x20\x20 [--no-static]  (skip the static independence matrix; same verdicts)\n\
          \x20 revisionist-simulations campaign-service [--protocol P] [--procs N] [--m M]\n\
          \x20\x20\x20\x20 [--sched S1,S2,...] [--runs R] [--budget B] [--seed-start S]\n\
          \x20\x20\x20\x20 [--faults PLANS|sweep[:MAXSTEP]]  (shard a fault matrix across workers)\n\
@@ -201,11 +206,23 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// The flag `--key` parsed as `T`, or `None` when absent. A value that
+/// does not parse exits with status 2 rather than being ignored.
+fn parsed<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    let value = flags.get(key)?;
+    let Ok(parsed) = value.parse() else {
+        eprintln!(
+            "invalid value for --{key}: `{value}` (expected {})",
+            std::any::type_name::<T>()
+        );
+        std::process::exit(2)
+    };
+    Some(parsed)
+}
+
+/// The non-negative integer flag `--key`, or `default` when absent.
 fn get(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parsed(flags, key).unwrap_or(default)
 }
 
 fn cmd_bounds(args: &[String]) -> ExitCode {
@@ -606,8 +623,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
     let max_configs = get(flags, "max-configs", 200_000);
     let threads = get(flags, "threads", 1).max(1);
     let dpor = !flags.contains_key("no-dpor");
-    let statics = !flags.contains_key("no-static");
-    let seed: u64 = flags.get("seed").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let seed = get(flags, "seed", 0) as u64;
 
     let Some(factory) = protocol_factory(protocol, procs, m, rounds) else {
         eprintln!("unknown protocol: {protocol}");
@@ -618,7 +634,6 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
     let explorer = Explorer::new(Limits { max_depth: depth, max_configs })
         .with_threads(threads)
         .with_dpor(dpor)
-        .with_static(statics)
         .with_preflight(!flags.contains_key("no-preflight"));
     let start = std::time::Instant::now();
     let report = match explorer.explore_parallel(&system, &*check) {
@@ -641,9 +656,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
         });
         println!(
             "{{\n  \"protocol\": {},\n  \"procs\": {},\n  \"threads\": {},\n  \
-             \"dpor\": {},\n  \"static_seed\": {},\n  \"static_indep_pairs\": {},\n  \
-             \"prefilter_hits\": {},\n  \
-             \"configs_visited\": {},\n  \"terminals\": {},\n  \
+             \"dpor\": {},\n  \"configs_visited\": {},\n  \"terminals\": {},\n  \
              \"pruned\": {},\n  \"reduction_factor\": {:.4},\n  \
              \"truncated\": {},\n  \"truncation\": {},\n  \"violation\": {},\n  \
              \"elapsed_ms\": {},\n  \"states_per_sec\": {:.0}\n}}",
@@ -651,9 +664,6 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
             system.process_count(),
             threads,
             report.dpor,
-            report.static_seed,
-            report.static_indep_pairs,
-            report.prefilter_hits,
             report.configs_visited,
             report.terminals,
             report.pruned,
@@ -669,18 +679,10 @@ fn cmd_explore(flags: &HashMap<String, String>) -> ExitCode {
         );
     } else {
         println!(
-            "explore {protocol}: {} processes, depth ≤ {depth}, threads {threads}, \
-             dpor {}, static seeding {}",
+            "explore {protocol}: {} processes, depth ≤ {depth}, threads {threads}, dpor {}",
             system.process_count(),
             if report.dpor { "on" } else { "off" },
-            if report.static_seed { "on" } else { "off" },
         );
-        if report.static_seed {
-            println!(
-                "  static matrix: {} independent pairs, {} prefilter hits",
-                report.static_indep_pairs, report.prefilter_hits,
-            );
-        }
         println!(
             "  visited {} configurations ({} terminals) in {:.1}ms ({:.0} states/s)",
             report.configs_visited,
@@ -848,13 +850,10 @@ fn cmd_campaign(flags: &HashMap<String, String>) -> ExitCode {
     let spec_id =
         revisionist_simulations::smr::campaign::campaign_spec_id(protocol, &config);
     let mut options = CampaignOptions {
-        wall_limit: flags
-            .get("wall-limit")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_secs),
-        stop_after: flags.get("stop-after").and_then(|v| v.parse().ok()),
-        cache_budget: flags.get("cache-budget").and_then(|v| v.parse().ok()),
-        checkpoint_every: flags.get("checkpoint-every").and_then(|v| v.parse().ok()),
+        wall_limit: parsed(flags, "wall-limit").map(Duration::from_secs),
+        stop_after: parsed(flags, "stop-after"),
+        cache_budget: parsed(flags, "cache-budget"),
+        checkpoint_every: parsed(flags, "checkpoint-every"),
         checkpoint_path: flags.get("checkpoint").map(std::path::PathBuf::from),
         resume_from: None,
         spec_id: Some(spec_id.clone()),
@@ -1530,7 +1529,7 @@ fn cmd_campaign_worker(flags: &HashMap<String, String>) -> ExitCode {
 
     let served = match flags.get("connect") {
         Some(addr) => {
-            let tag = flags.get("tag").and_then(|v| v.parse().ok());
+            let tag = parsed(flags, "tag");
             serve(&mut TcpLink::new(addr, tag), worker_execute_unit)
         }
         None => serve(
@@ -1675,7 +1674,7 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
         get(flags, "workers", 2).max(1)
     };
     opts.max_lease_attempts = get(flags, "max-lease-attempts", 3).max(1);
-    if let Some(secs) = flags.get("lease-timeout").and_then(|v| v.parse().ok()) {
+    if let Some(secs) = parsed(flags, "lease-timeout") {
         opts.lease_timeout = Duration::from_secs(secs);
     }
     if let Some(raw) = flags.get("chaos") {

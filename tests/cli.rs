@@ -202,3 +202,35 @@ fn campaign_resume_refuses_a_checkpoint_from_another_campaign() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn subcommand_help_prints_usage_without_running() {
+    for args in [
+        &["explore", "--help", "--depth", "3"][..],
+        &["campaign", "--help"],
+        &["sweep", "-h", "--runs", "5"],
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(ok, "{args:?}: help must exit 0");
+        assert!(stderr.contains("USAGE"), "{args:?}: no usage in {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: the command ran: {stdout}");
+    }
+}
+
+#[test]
+fn unparseable_number_flag_exits_2_naming_flag_and_value() {
+    for (args, flag, value) in [
+        (&["explore", "--procs", "three", "--depth", "3"][..], "--procs", "three"),
+        (&["campaign", "--runs", "5", "--stop-after", "abc"], "--stop-after", "abc"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_revisionist-simulations"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(stderr.contains(value), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: the command ran anyway");
+    }
+}

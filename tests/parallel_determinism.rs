@@ -129,11 +129,13 @@ fn dpor_on_off_reports_identical_over_protocol_families() {
     // must not change any observable report field — it only changes how
     // many redundant forks were paid for (the `pruned` tally).
     use revisionist_simulations::protocols::ladder::ladder_system;
+    use revisionist_simulations::protocols::serializable::serializable_system;
     let limits = Limits { max_depth: 10, max_configs: 5_000_000 };
     let systems: Vec<(&str, System)> = vec![
         ("racing", racing3()),
         ("contrarian", contrarian_system(&[true, false, true])),
         ("ladder", ladder_system(&[Value::Int(1), Value::Int(2)], 2)),
+        ("serializable", serializable_system(&[1, 2, 3, 4])),
     ];
     let mut total_pruned = 0usize;
     for (name, sys) in &systems {
