@@ -37,7 +37,7 @@ pub const DEFAULT_BUDGET: usize = 256;
 /// never contain it — the augmented snapshot construction reserves it
 /// for yielded Block-Updates.
 pub fn yield_symbol() -> Value {
-    Value::Tuple(Vec::new())
+    Value::tuple(Vec::new())
 }
 
 /// `true` when `value` is (or contains) the reserved yield symbol.
@@ -389,7 +389,7 @@ mod tests {
     fn yield_detection_sees_nested_values() {
         assert!(contains_yield(&yield_symbol()));
         assert!(contains_yield(&Value::pair(Value::Int(1), yield_symbol())));
-        assert!(contains_yield(&Value::Tuple(vec![Value::Int(1), yield_symbol()])));
+        assert!(contains_yield(&Value::tuple(vec![Value::Int(1), yield_symbol()])));
         assert!(!contains_yield(&Value::Nil));
         assert!(!contains_yield(&Value::triple(
             Value::Int(1),

@@ -59,7 +59,6 @@ use crate::system::System;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -449,6 +448,9 @@ impl Explorer {
             claim: root_masks.enabled,
             first: true,
         }];
+        // Children the merge deduplicated away; the next level's
+        // workers drop them.
+        let mut discard: Vec<System> = Vec::new();
 
         while !frontier.is_empty() {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -470,12 +472,18 @@ impl Explorer {
                      prefixes ({capped_entries} entries shed so far)"
                 ));
             }
-            let level =
-                self.run_level(&frontier, base_depth, check, &visited, threads, dpor);
+            let level = Level {
+                base_depth,
+                check,
+                visited: &visited,
+                max_depth: self.limits.max_depth,
+                dpor,
+            };
+            let mut chunks =
+                run_level(frontier, std::mem::take(&mut discard), threads, &level);
 
             // Merge chunk results in frontier order: every aggregate
             // below is then independent of worker scheduling.
-            let mut chunks = level.into_inner().expect("level results lock");
             chunks.sort_by_key(|c| c.start);
             let error = chunks
                 .iter()
@@ -501,7 +509,7 @@ impl Explorer {
                     return Err(err.clone());
                 }
             }
-            let mut children: Vec<Child> = Vec::new();
+            let mut children: Vec<Vec<Child>> = Vec::with_capacity(chunks.len());
             for chunk in chunks {
                 report.terminals += chunk.terminals;
                 report.truncated |= chunk.truncated;
@@ -512,7 +520,7 @@ impl Explorer {
                         }
                     }
                 }
-                children.extend(chunk.children);
+                children.push(chunk.children);
             }
             if let Some((_, sched, msg)) = violation {
                 report.violation = Some((sched, msg));
@@ -528,8 +536,8 @@ impl Explorer {
             // matching): it re-enters the frontier as a non-`first`
             // prefix that is expanded but not re-counted or re-checked.
             let mut next = Vec::new();
-            for child in children {
-                let Child { mut sys, fp, sleep, enabled } = child;
+            for child in children.into_iter().flatten() {
+                let Child { sys, fp, sleep, enabled } = child;
                 match visited.get_mut(&fp) {
                     None => {
                         if report.configs_visited >= self.limits.max_configs {
@@ -541,13 +549,11 @@ impl Explorer {
                         let slept = if dpor { enabled & sleep } else { 0 };
                         report.pruned += slept.count_ones() as usize;
                         visited.insert(fp, StateMeta { expanded: claim, slept });
-                        // Seal before the next level forks this
-                        // configuration.
-                        sys.freeze_trace();
                         next.push(Prefix { sys, sleep, claim, first: true });
                     }
                     Some(meta) => {
                         if !dpor {
+                            discard.push(sys);
                             continue;
                         }
                         let claim = enabled & !sleep & !meta.expanded;
@@ -560,8 +566,9 @@ impl Explorer {
                         report.pruned -= reclaimed.count_ones() as usize;
                         meta.expanded |= claim;
                         if claim != 0 {
-                            sys.freeze_trace();
                             next.push(Prefix { sys, sleep, claim, first: false });
+                        } else {
+                            discard.push(sys);
                         }
                     }
                 }
@@ -572,45 +579,6 @@ impl Explorer {
             frontier = next;
         }
         Ok((report, terminal_outputs))
-    }
-
-    /// Runs one frontier level across `threads` workers stealing chunks
-    /// through a shared atomic cursor.
-    fn run_level(
-        &self,
-        frontier: &[Prefix],
-        base_depth: usize,
-        check: ParallelCheck,
-        visited: &HashMap<u64, StateMeta>,
-        threads: usize,
-        dpor: bool,
-    ) -> Mutex<Vec<LevelChunk>> {
-        let results: Mutex<Vec<LevelChunk>> = Mutex::new(Vec::new());
-        let cursor = AtomicUsize::new(0);
-        let chunk_size = frontier.len().div_ceil(threads * 4).max(1);
-        let max_depth = self.limits.max_depth;
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(frontier.len()) {
-                scope.spawn(|| loop {
-                    let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
-                    if start >= frontier.len() {
-                        break;
-                    }
-                    let end = (start + chunk_size).min(frontier.len());
-                    let chunk = expand_chunk(
-                        &frontier[start..end],
-                        start,
-                        base_depth,
-                        check,
-                        visited,
-                        max_depth,
-                        dpor,
-                    );
-                    results.lock().expect("level results lock").push(chunk);
-                });
-            }
-        });
-        results
     }
 
     /// Collects the set of output vectors over all reachable terminal
@@ -726,6 +694,24 @@ fn low_bits(q: usize) -> u32 {
     (1u32 << q) - 1
 }
 
+/// Splits `items` into consecutive chunks of `size` (the last may be
+/// shorter), each tagged with the index of its first item, ordered so
+/// that popping yields them front to back. Splitting from the back
+/// moves every item once.
+fn split_into_chunks<T>(mut items: Vec<T>, size: usize) -> Vec<(usize, Vec<T>)> {
+    let mut chunks = Vec::with_capacity(items.len().div_ceil(size));
+    while !items.is_empty() {
+        let start = (items.len() - 1) / size * size;
+        let chunk = if start == 0 {
+            std::mem::take(&mut items)
+        } else {
+            items.split_off(start)
+        };
+        chunks.push((start, chunk));
+    }
+    chunks
+}
+
 /// Per-configuration bookkeeping for sleep-set pruning with state
 /// matching, keyed by configuration fingerprint.
 #[derive(Clone, Copy, Default)]
@@ -827,18 +813,63 @@ struct LevelChunk {
     error: Option<(usize, ModelError)>,
 }
 
-/// Checks and expands one chunk of frontier entries. `base_depth` is
-/// the trace length of the initial configuration: the schedule of any
-/// entry is its trace suffix past that point.
-fn expand_chunk(
-    entries: &[Prefix],
-    start: usize,
+/// What every worker of one frontier level reads.
+#[derive(Clone, Copy)]
+struct Level<'a> {
+    /// Trace length of the initial configuration: the schedule of any
+    /// entry is its trace suffix past that point.
     base_depth: usize,
-    check: ParallelCheck,
-    visited: &HashMap<u64, StateMeta>,
+    check: ParallelCheck<'a>,
+    /// The visited map of all previous levels (the duplicate
+    /// pre-filter).
+    visited: &'a HashMap<u64, StateMeta>,
     max_depth: usize,
     dpor: bool,
-) -> LevelChunk {
+}
+
+/// Runs one frontier level across `threads` workers stealing chunks
+/// from a shared queue. The level owns its frontier and the previous
+/// merge's `discard`: each worker drops a share of the discards and
+/// every entry it has expanded, so freeing configurations is spread
+/// over the workers instead of falling on the serial merge.
+fn run_level(
+    frontier: Vec<Prefix>,
+    discard: Vec<System>,
+    threads: usize,
+    level: &Level,
+) -> Vec<LevelChunk> {
+    let workers = threads.min(frontier.len());
+    let chunk_size = frontier.len().div_ceil(threads * 4).max(1);
+    let queue = Mutex::new(split_into_chunks(frontier, chunk_size));
+    let per_worker = discard.len().div_ceil(workers).max(1);
+    let garbage = Mutex::new(split_into_chunks(discard, per_worker));
+    let results: Mutex<Vec<LevelChunk>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                // Popped first so the drop runs outside the lock.
+                let share = garbage.lock().expect("level garbage lock").pop();
+                drop(share);
+                loop {
+                    let Some((start, entries)) =
+                        queue.lock().expect("level queue lock").pop()
+                    else {
+                        break;
+                    };
+                    let chunk = expand_chunk(entries, start, level);
+                    results.lock().expect("level results lock").push(chunk);
+                }
+            });
+        }
+    });
+    results.into_inner().expect("level results lock")
+}
+
+/// Checks and expands one chunk of frontier entries, dropping each
+/// entry once it is expanded, and seals every child's trace so the
+/// next level forks it without copying events.
+fn expand_chunk(entries: Vec<Prefix>, start: usize, level: &Level) -> LevelChunk {
+    let Level { base_depth, check, visited, max_depth, dpor } = *level;
     let mut out = LevelChunk {
         start,
         terminals: 0,
@@ -848,7 +879,7 @@ fn expand_chunk(
         terminal_outputs: Vec::new(),
         error: None,
     };
-    for (offset, entry) in entries.iter().enumerate() {
+    for (offset, entry) in entries.into_iter().enumerate() {
         let idx = start + offset;
         let sys = &entry.sys;
         // Panic isolation: a panicking check (or a panic while forking)
@@ -888,6 +919,7 @@ fn expand_chunk(
                         }
                         continue;
                     }
+                    fork.freeze_trace();
                     let fp = fork.config_fingerprint();
                     let sleep =
                         masks.indep[q] & (entry.sleep | (entry.claim & low_bits(q)));
@@ -924,6 +956,7 @@ fn expand_chunk(
                         }
                         continue;
                     }
+                    fork.freeze_trace();
                     let fp = fork.config_fingerprint();
                     // Concurrent pre-filter: configurations
                     // deduplicated at an earlier level never reach the

@@ -160,7 +160,7 @@ impl Mutation {
                 spec.prologue[0] = vec![(c, a.clone()), (c, b), (c, a)];
             }
             Mutation::YieldLeak => {
-                spec.prologue[0][0].1 = Value::Tuple(Vec::new());
+                spec.prologue[0][0].1 = Value::tuple(Vec::new());
             }
         }
         spec

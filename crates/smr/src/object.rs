@@ -164,10 +164,10 @@ impl Object {
     /// Returns [`ModelError::BadOperation`] if the operation does not
     /// match the object's type or indexes a nonexistent component.
     pub fn apply(&mut self, op: &Operation) -> Result<Response, ModelError> {
+        if !op.is_mutation() {
+            return self.read(op);
+        }
         match (self, op) {
-            (Object::Register { value }, Operation::Read { .. }) => {
-                Ok(Response::Value(value.clone()))
-            }
             (Object::Register { value }, Operation::Write { value: v, .. }) => {
                 *value = v.clone();
                 Ok(Response::Ack)
@@ -181,9 +181,6 @@ impl Object {
                 *slot = value.clone();
                 Ok(Response::Ack)
             }
-            (Object::Snapshot { components }, Operation::Scan { .. }) => {
-                Ok(Response::View(components.clone()))
-            }
             (Object::MaxRegister { components }, Operation::WriteMax { component, value, .. }) => {
                 let slot = components.get_mut(*component).ok_or_else(|| {
                     ModelError::BadOperation(format!(
@@ -194,9 +191,6 @@ impl Object {
                     *slot = value.clone();
                 }
                 Ok(Response::Ack)
-            }
-            (Object::MaxRegister { components }, Operation::Scan { .. }) => {
-                Ok(Response::View(components.clone()))
             }
             (Object::FetchAndIncrement { counter }, Operation::FetchInc { .. }) => {
                 let old = *counter;
@@ -215,15 +209,42 @@ impl Object {
                     Ok(Response::Flag(false))
                 }
             }
-            (Object::Cas { value }, Operation::Read { .. })
+            (obj, op) => Err(mismatch(obj, op)),
+        }
+    }
+
+    /// Answers a read or scan without mutating the object: the response
+    /// [`Object::apply`] gives for the same operation, errors included.
+    /// A configuration answers non-mutating steps through this path, so
+    /// forks can keep sharing one object vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::BadOperation`] if the operation does not
+    /// match the object's type, or if it mutates (use
+    /// [`Object::apply`]).
+    pub fn read(&self, op: &Operation) -> Result<Response, ModelError> {
+        match (self, op) {
+            (Object::Register { value }, Operation::Read { .. })
+            | (Object::Cas { value }, Operation::Read { .. })
             | (Object::Swap { value }, Operation::Read { .. }) => {
                 Ok(Response::Value(value.clone()))
             }
-            (obj, op) => Err(ModelError::BadOperation(format!(
-                "operation {op:?} does not apply to object {obj:?}"
+            (Object::Snapshot { components }, Operation::Scan { .. })
+            | (Object::MaxRegister { components }, Operation::Scan { .. }) => {
+                Ok(Response::View(components.clone()))
+            }
+            (obj, op) if op.is_mutation() => Err(ModelError::BadOperation(format!(
+                "operation {op:?} mutates object {obj:?} and cannot be read"
             ))),
+            (obj, op) => Err(mismatch(obj, op)),
         }
     }
+}
+
+/// The error for an operation that does not fit the object's type.
+fn mismatch(obj: &Object, op: &Operation) -> ModelError {
+    ModelError::BadOperation(format!("operation {op:?} does not apply to object {obj:?}"))
 }
 
 #[cfg(test)]
@@ -343,6 +364,41 @@ mod tests {
         assert_eq!(Object::register().register_cost(), 1);
         assert_eq!(Object::snapshot(5).register_cost(), 5);
         assert_eq!(Object::max_register(3).register_cost(), 3);
+    }
+
+    #[test]
+    fn read_path_answers_exactly_what_apply_answers() {
+        let objects = [
+            Object::Register { value: Value::Int(3) },
+            Object::Snapshot {
+                components: vec![
+                    Value::Int(1),
+                    Value::triple(Value::Nil, Value::Int(2), Value::Bool(true)),
+                ],
+            },
+            Object::MaxRegister { components: vec![Value::Int(4), Value::Nil] },
+            Object::FetchAndIncrement { counter: 7 },
+            Object::Swap { value: Value::Int(5) },
+            Object::Cas { value: Value::Int(6) },
+        ];
+        for obj in &objects {
+            for op in [Operation::Read { obj: oid() }, Operation::Scan { obj: oid() }] {
+                let mut applied = obj.clone();
+                let via_apply = applied.apply(&op);
+                assert_eq!(obj.read(&op), via_apply, "{op:?} on {obj:?}");
+                assert_eq!(&applied, obj, "{op:?} must not change {obj:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_path_refuses_mutations() {
+        let r = Object::register();
+        let err = r
+            .read(&Operation::Write { obj: oid(), value: Value::Int(1) })
+            .unwrap_err();
+        assert!(matches!(err, ModelError::BadOperation(_)));
+        assert_eq!(r, Object::register());
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! Single-writer restrictions (single-writer registers and single-writer
 //! snapshots) are configuration-level invariants installed with
 //! [`System::restrict_writer`].
+//!
+//! # Copy-on-write forks
+//!
+//! Cloning a `System` (forking a configuration) copies pointers only:
+//! processes, the object vector, the ownership table and the sealed
+//! trace prefix are `Arc`-shared between parent and fork. A step then
+//! copies only what it changes — the stepped process when its `Arc` is
+//! shared, and the object vector only when the operation mutates an
+//! object. Reads and scans are answered from the shared objects
+//! ([`Object::read`]).
 
 use crate::error::ModelError;
 use crate::fingerprint::{ConfigHash, FnvStream};
@@ -16,6 +26,7 @@ use crate::process::{Poised, Process, ProcessId};
 use crate::trace::Trace;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One step of an execution: process `pid` performed `op` and received
 /// `resp`.
@@ -43,16 +54,18 @@ pub struct Event {
 /// ```
 #[derive(Clone, Debug)]
 pub struct System {
-    objects: Vec<Object>,
-    processes: Vec<Box<dyn Process>>,
+    /// Shared between forks until a mutating step copies it.
+    objects: Arc<Vec<Object>>,
+    /// Each process is shared between forks until it is stepped.
+    processes: Vec<Arc<dyn Process>>,
     trace: Trace,
     /// Steps taken per process, maintained on [`System::step`] so fault
     /// triggers and schedulers can read them in O(1) instead of
     /// re-scanning the trace.
     steps_per_process: Vec<usize>,
     /// `(object, component) -> owner` restrictions; `component` is 0 for
-    /// plain registers.
-    owners: HashMap<(ObjectId, usize), ProcessId>,
+    /// plain registers. Installed before a run and shared by every fork.
+    owners: Arc<HashMap<(ObjectId, usize), ProcessId>>,
 }
 
 impl System {
@@ -60,11 +73,11 @@ impl System {
     pub fn new(objects: Vec<Object>, processes: Vec<Box<dyn Process>>) -> Self {
         let n = processes.len();
         System {
-            objects,
-            processes,
+            objects: Arc::new(objects),
+            processes: processes.into_iter().map(Arc::from).collect(),
             trace: Trace::new(),
             steps_per_process: vec![0; n],
-            owners: HashMap::new(),
+            owners: Arc::default(),
         }
     }
 
@@ -73,7 +86,7 @@ impl System {
     /// Installing ownership for every component of a snapshot makes it a
     /// single-writer snapshot.
     pub fn restrict_writer(&mut self, obj: ObjectId, component: usize, owner: ProcessId) {
-        self.owners.insert((obj, component), owner);
+        Arc::make_mut(&mut self.owners).insert((obj, component), owner);
     }
 
     /// Declares the m-component snapshot `obj` single-writer with
@@ -192,27 +205,35 @@ impl System {
     /// * [`ModelError::WriterViolation`] on single-writer violations.
     /// * [`ModelError::BadOperation`] if the operation does not fit the
     ///   object.
-    pub fn step(&mut self, pid: ProcessId) -> Result<Event, ModelError> {
+    pub fn step(&mut self, pid: ProcessId) -> Result<(), ModelError> {
         let process = self
             .processes
-            .get_mut(pid.0)
+            .get(pid.0)
             .ok_or_else(|| ModelError::BadId(format!("no process {pid}")))?;
         let op = match process.poised() {
             Poised::Step(op) => op,
             Poised::Output(_) => return Err(ModelError::ProcessTerminated(pid.0)),
         };
-        let op_clone = op.clone();
-        self.check_ownership(pid, &op_clone)?;
-        let obj = self
-            .objects
-            .get_mut(op_clone.object().0)
-            .ok_or_else(|| ModelError::BadId(format!("no object {}", op_clone.object())))?;
-        let resp = obj.apply(&op_clone)?;
-        self.processes[pid.0].receive(resp.clone());
+        self.check_ownership(pid, &op)?;
+        let index = op.object().0;
+        if index >= self.objects.len() {
+            return Err(ModelError::BadId(format!("no object {}", op.object())));
+        }
+        let resp = if op.is_mutation() {
+            Arc::make_mut(&mut self.objects)[index].apply(&op)?
+        } else {
+            self.objects[index].read(&op)?
+        };
+        let slot = &mut self.processes[pid.0];
+        if Arc::get_mut(slot).is_none() {
+            *slot = Arc::from(slot.boxed_clone());
+        }
+        Arc::get_mut(slot)
+            .expect("process unshared above")
+            .receive(resp.clone());
         self.steps_per_process[pid.0] += 1;
-        let event = Event { pid, op: op_clone, resp };
-        self.trace.push(event.clone());
-        Ok(event)
+        self.trace.push(Event { pid, op, resp });
+        Ok(())
     }
 
     /// Runs the system under `scheduler` until all processes terminate,
@@ -273,7 +294,7 @@ impl System {
     pub fn config_key(&self) -> String {
         use std::fmt::Write;
         let mut key = String::new();
-        for o in &self.objects {
+        for o in self.objects.iter() {
             let _ = write!(key, "{o:?};");
         }
         for p in &self.processes {
@@ -323,7 +344,7 @@ impl ConfigHash for System {
     /// terminated by `;`.
     fn hash_config(&self, h: &mut FnvStream) {
         use std::fmt::Write;
-        for o in &self.objects {
+        for o in self.objects.iter() {
             o.hash_config(h);
             let _ = h.write_str(";");
         }
@@ -427,6 +448,30 @@ mod tests {
         let mut sys2 = sys.clone();
         sys2.step(ProcessId(0)).unwrap();
         assert!(!sys2.indistinguishable(&fork));
+    }
+
+    #[test]
+    fn a_scan_step_shares_the_objects_and_an_update_copies_them_once() {
+        let parent = small_system();
+        let mut fork = parent.clone();
+        // p0 scans: the fork still reads the parent's object vector, and
+        // only p0's process is unshared.
+        fork.step(ProcessId(0)).unwrap();
+        assert!(std::ptr::eq(parent.objects(), fork.objects()));
+        let same_process =
+            |pid| std::ptr::addr_eq(parent.process(pid).unwrap(), fork.process(pid).unwrap());
+        assert!(!same_process(ProcessId(0)));
+        assert!(same_process(ProcessId(1)));
+        // p0 updates: the fork copies the objects once ...
+        fork.step(ProcessId(0)).unwrap();
+        assert!(!std::ptr::eq(parent.objects(), fork.objects()));
+        let copied = fork.objects().as_ptr();
+        // ... and writes into its own copy from then on.
+        fork.step(ProcessId(1)).unwrap();
+        fork.step(ProcessId(1)).unwrap();
+        assert_eq!(fork.objects().as_ptr(), copied);
+        assert_eq!(parent.objects(), &[Object::snapshot(1)][..]);
+        assert_eq!(fork.objects()[0], Object::Snapshot { components: vec![Value::Int(20)] });
     }
 
     #[test]

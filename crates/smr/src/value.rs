@@ -9,6 +9,7 @@
 //! [`Value::Dyadic`] stores dyadic rationals `num / 2^exp` exactly.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A dyadic rational `num / 2^exp`, the value domain of the approximate
 /// agreement protocols (midpoint computations stay exact).
@@ -186,8 +187,10 @@ pub enum Value {
     Dyadic(Dyadic),
     /// An ordered pair, e.g. `(value, timestamp)`.
     Pair(Box<Value>, Box<Value>),
-    /// An arbitrary-width tuple.
-    Tuple(Vec<Value>),
+    /// An arbitrary-width tuple. The elements are immutable and
+    /// `Arc`-shared, so cloning a tuple (on every scan view and every
+    /// configuration fork that copies an object) is a refcount bump.
+    Tuple(Arc<[Value]>),
 }
 
 impl Value {
@@ -198,7 +201,12 @@ impl Value {
 
     /// Convenience constructor for a triple.
     pub fn triple(a: Value, b: Value, c: Value) -> Value {
-        Value::Tuple(vec![a, b, c])
+        Value::Tuple(Arc::new([a, b, c]))
+    }
+
+    /// Convenience constructor for a tuple of any width.
+    pub fn tuple(items: Vec<Value>) -> Value {
+        Value::Tuple(items.into())
     }
 
     /// Is this the undefined value ⊥?
@@ -346,7 +354,7 @@ mod tests {
             Value::Int(0),
             Value::Dyadic(Dyadic::zero()),
             Value::pair(Value::Nil, Value::Nil),
-            Value::Tuple(vec![])];
+            Value::tuple(vec![])];
         for w in vals.windows(2) {
             assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
         }

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use rsim_smr::fingerprint::fingerprint;
+use rsim_smr::gen::GenSpec;
 use rsim_smr::object::{Object, ObjectId, Operation, Response};
 use rsim_smr::process::{Process, ProcessId, ProtocolStep, SnapshotProcess, SnapshotProtocol};
 use rsim_smr::sched::{Fixed, Random};
@@ -239,5 +240,61 @@ proptest! {
         // The shared prefix is immutable: the parent saw nothing.
         prop_assert_eq!(sys.trace().to_vec(), parent_snapshot);
         prop_assert_eq!(sys.config_fingerprint(), parent_fp);
+    }
+
+    #[test]
+    fn stepping_a_fork_never_touches_its_parent(
+        seed in 0u64..256,
+        prefix in proptest::collection::vec(0usize..3, 0..24),
+        divergence in proptest::collection::vec(0usize..3, 1..24),
+        freeze in 0u8..2,
+    ) {
+        // Forks share processes, objects and the sealed trace with their
+        // parent until a step copies what it changes. Whatever either
+        // side steps, the other must read exactly as before, and the
+        // fork must equal a from-scratch replay of its schedule.
+        let spec = GenSpec::from_seed(seed);
+        let n = spec.build_system().process_count();
+        let walk = |sys: &mut System, schedule: &[usize]| -> Vec<usize> {
+            let mut taken = Vec::new();
+            for &p in schedule {
+                let pid = ProcessId(p % n);
+                if !sys.is_terminated(pid) {
+                    sys.step(pid).unwrap();
+                    taken.push(pid.0);
+                }
+            }
+            taken
+        };
+        let observe = |sys: &System| {
+            (
+                sys.config_fingerprint(),
+                sys.config_key(),
+                sys.trace().len(),
+                (0..n).map(|i| sys.steps_of(ProcessId(i))).collect::<Vec<_>>(),
+            )
+        };
+        let mut parent = spec.build_system();
+        let taken = walk(&mut parent, &prefix);
+        if freeze == 1 {
+            parent.freeze_trace();
+        }
+        let before = observe(&parent);
+
+        let mut fork = parent.clone();
+        let diverged = walk(&mut fork, &divergence);
+        prop_assert_eq!(observe(&parent), before.clone());
+
+        let mut replay = spec.build_system();
+        walk(&mut replay, &taken);
+        walk(&mut replay, &diverged);
+        prop_assert_eq!(fork.config_fingerprint(), replay.config_fingerprint());
+        prop_assert_eq!(fork.trace(), replay.trace());
+
+        // And the other way round: the parent moving on leaves the fork
+        // where it was.
+        let fork_seen = observe(&fork);
+        walk(&mut parent, &divergence.iter().rev().copied().collect::<Vec<_>>());
+        prop_assert_eq!(observe(&fork), fork_seen);
     }
 }

@@ -100,7 +100,8 @@ analyze-smoke:
     cargo clippy -p rsim-smr --all-targets -- -D warnings
 
 # Miri smoke over the pointer-heavy suites (trace arena, fingerprint
-# cache, journaled work queue). Needs a nightly toolchain with the
+# cache, journaled work queue, copy-on-write configurations and
+# shared tuple values). Needs a nightly toolchain with the
 # miri component (`rustup +nightly component add miri`); isolation is
 # off because the queue tests touch the real filesystem. Non-blocking
 # in CI — run locally before touching unsafe or aliasing-sensitive
@@ -112,6 +113,10 @@ miri-smoke:
         cargo +nightly miri test -p rsim-smr --lib fingerprint::
     MIRIFLAGS="-Zmiri-disable-isolation" \
         cargo +nightly miri test -p rsim-smr --lib service::queue::
+    MIRIFLAGS="-Zmiri-disable-isolation" \
+        cargo +nightly miri test -p rsim-smr --lib system::
+    MIRIFLAGS="-Zmiri-disable-isolation" \
+        cargo +nightly miri test -p rsim-smr --lib value::
 
 # Generated-protocol mutation-kill fuzzing: every base must pass
 # pre-flight, every predicted-fatal mutant must be killed + shrunk +

@@ -1358,17 +1358,14 @@ fn worker_execute_unit(
     use revisionist_simulations::smr::fault::FaultPlan;
     use revisionist_simulations::smr::service::ShardResult;
 
-    let field = |key: &str| {
-        unit.system.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    };
-    let protocol =
-        field("protocol").ok_or("unit system lacks `protocol`")?.to_string();
-    let num = |key: &str, default: usize| {
-        field(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    let procs = num("procs", 3);
-    let m = num("m", 2);
-    let rounds = num("rounds", 3);
+    let protocol = unit
+        .system
+        .iter()
+        .find(|(k, _)| k == "protocol")
+        .map(|(_, v)| v.clone())
+        .ok_or("unit system lacks `protocol`")?;
+    let [procs, m, rounds] =
+        system_nums(&unit.system, [("procs", 3), ("m", 2), ("rounds", 3)])?;
     let factory = protocol_factory(&protocol, procs, m, rounds)
         .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
     // A non-empty fault plan switches the unit to the fault matrix.
@@ -1902,6 +1899,27 @@ fn cmd_campaign_service(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
+/// The numeric fields `keys` of a system description (a bundle's or a
+/// work unit's `system`), each its default when absent. A field that is
+/// present but not a number is an error naming the field and its
+/// value: a tampered description fails closed instead of running with
+/// the default.
+fn system_nums<const N: usize>(
+    system: &[(String, String)],
+    keys: [(&str, usize); N],
+) -> Result<[usize; N], String> {
+    let mut values = [0; N];
+    for (slot, (key, default)) in values.iter_mut().zip(keys) {
+        *slot = match system.iter().find(|(k, _)| k == key) {
+            None => default,
+            Some((_, v)) => v
+                .parse()
+                .map_err(|_| format!("system field `{key}` is not a number: `{v}`"))?,
+        };
+    }
+    Ok(values)
+}
+
 fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
     use revisionist_simulations::smr::bundle::ReplayBundle;
     use revisionist_simulations::smr::error::ModelError;
@@ -1920,12 +1938,6 @@ fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     let threads = get(flags, "threads", 1).max(1);
-    let field = |key: &str, default: usize| {
-        bundle
-            .system_field(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
 
     // Every replay runs `threads` times concurrently and all runs must
     // reproduce the recorded fingerprint: the portable artifact doubles
@@ -1938,10 +1950,15 @@ fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
                 .system_field("protocol")
                 .unwrap_or("racing")
                 .to_string();
-            let procs = field("procs", 3);
-            let Some(factory) =
-                protocol_factory(&protocol, procs, field("m", 2), field("rounds", 3))
-            else {
+            let [procs, m, rounds] =
+                match system_nums(&bundle.system, [("procs", 3), ("m", 2), ("rounds", 3)]) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        eprintln!("replay: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+            let Some(factory) = protocol_factory(&protocol, procs, m, rounds) else {
                 eprintln!("replay: bundle names unknown protocol `{protocol}`");
                 return ExitCode::FAILURE;
             };
@@ -1975,12 +1992,17 @@ fn cmd_replay(args: &[String], flags: &HashMap<String, String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let placement = Placement {
-                victim: field("victim", 0),
-                after_steps: field("after_steps", 0),
-                action,
+            let [victim, after_steps, f, m] = match system_nums(
+                &bundle.system,
+                [("victim", 0), ("after_steps", 0), ("f", 2), ("m", 2)],
+            ) {
+                Ok(v) => v,
+                Err(e) => {
+                    eprintln!("replay: {e}");
+                    return ExitCode::FAILURE;
+                }
             };
-            let (f, m) = (field("f", 2), field("m", 2));
+            let placement = Placement { victim, after_steps, action };
             std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..threads)
                     .map(|_| {
@@ -2157,5 +2179,21 @@ fn cmd_aug(flags: &HashMap<String, String>) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::system_nums;
+
+    #[test]
+    fn system_nums_defaults_parses_and_fails_closed() {
+        let system: Vec<(String, String)> = [("procs", "4"), ("m", "two")]
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        assert_eq!(system_nums(&system, [("procs", 3), ("rounds", 3)]), Ok([4, 3]));
+        let err = system_nums(&system, [("procs", 3), ("m", 2)]).unwrap_err();
+        assert!(err.contains("`m`") && err.contains("two"), "{err}");
     }
 }

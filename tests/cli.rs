@@ -234,3 +234,28 @@ fn unparseable_number_flag_exits_2_naming_flag_and_value() {
         assert!(out.stdout.is_empty(), "{args:?}: the command ran anyway");
     }
 }
+
+#[test]
+fn replay_rejects_a_bundle_with_an_unparseable_numeric_field() {
+    let dir = std::env::temp_dir()
+        .join(format!("rsim-cli-bad-field-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bundle = dir.join("cex.bundle.json");
+    let (_, stderr, ok) = run(&[
+        "campaign", "--protocol", "racing", "--procs", "3", "--m", "2",
+        "--sched", "random", "--runs", "100", "--bundle", bundle.to_str().unwrap(),
+    ]);
+    assert!(ok, "campaign run failed: {stderr}");
+    let (_, stderr, ok) = run(&["replay", bundle.to_str().unwrap()]);
+    assert!(ok, "the untampered bundle replays: {stderr}");
+    // `"m": "two"` used to replay as the default m = 2 and pass.
+    let text = std::fs::read_to_string(&bundle).unwrap();
+    assert!(text.contains(r#""m": "2""#), "bundle: {text}");
+    let tampered = dir.join("tampered.bundle.json");
+    std::fs::write(&tampered, text.replace(r#""m": "2""#, r#""m": "two""#)).unwrap();
+    let (stdout, stderr, ok) = run(&["replay", tampered.to_str().unwrap()]);
+    assert!(!ok, "a non-numeric field must fail replay: {stdout}");
+    assert!(stderr.contains("`m`") && stderr.contains("two"), "stderr: {stderr}");
+    assert!(!stdout.contains("reproduced"), "stdout: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
